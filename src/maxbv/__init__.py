@@ -33,6 +33,7 @@ from .sampling import (
     Walk,
     mc_collect,
     mc_run,
+    mc_run_many,
     sample_bridge,
     sample_brownian,
     sample_walk,
@@ -64,6 +65,7 @@ __all__ = [
     "Walk",
     "mc_collect",
     "mc_run",
+    "mc_run_many",
     "sample_bridge",
     "sample_brownian",
     "sample_walk",

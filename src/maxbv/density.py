@@ -9,11 +9,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
 from .fluctuation import halfline_prob_float
 from .perimeter import HALFSPACE_PERIMETER
+
+
+def _quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use so that importing
+    maxbv does not load scipy."""
+    from scipy import integrate
+
+    return integrate.quad(*args, **kwargs)
 
 
 def segment_max_density(y: float, length: float) -> float:
@@ -69,7 +76,7 @@ def lt_zero(t: float, horizon: float) -> float:
     def integrand(y: float) -> float:
         return segment_max_density(y, a) * segment_max_density(y, b)
 
-    value, err = integrate.quad(
+    value, err = _quad(
         integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200
     )
     if err > 1e-10:
@@ -163,8 +170,8 @@ def inner_arcsine_integral(t: float) -> float:
 
     vmax = math.sqrt(mid - t)
     wmax = math.sqrt(1.0 - mid)
-    a, ea = integrate.quad(left, 0.0, vmax, epsabs=1e-12, epsrel=1e-12)
-    b, eb = integrate.quad(right, 0.0, wmax, epsabs=1e-12, epsrel=1e-12)
+    a, ea = _quad(left, 0.0, vmax, epsabs=1e-12, epsrel=1e-12)
+    b, eb = _quad(right, 0.0, wmax, epsabs=1e-12, epsrel=1e-12)
     if ea + eb > 1e-9:
         raise QuadratureError(f"inner quadrature error {ea + eb:.2e} too large")
     return a + b
@@ -187,7 +194,7 @@ def limit_integral() -> QuadratureValue:
         return 2.0 * inner_arcsine_integral(r * r)
 
     # the integrand is smooth in r on [0, 1); keep the endpoint open by eps
-    value, err = integrate.quad(
+    value, err = _quad(
         outer, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200
     )
     total_err = err + 2.0e-9  # inner quadrature tolerance propagated

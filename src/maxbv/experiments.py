@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy import stats
 
 from . import density, fluctuation, malliavin, perimeter
 from . import concentration as conc
@@ -28,6 +27,7 @@ from .sampling import (
     SeedSpec,
     brownian_values_batch,
     mc_run,
+    mc_run_many,
     sample_brownian,
     sample_walk,
     walk_sums_batch,
@@ -365,16 +365,14 @@ def _run_adjoint2_zero(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     h = Direction.constant(grid)
     k = Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half")
+    gs = catalog(grid)
+    pairs = [(g, None) for g in gs] + [(constant_one(grid), catalog_entry(grid, "coord"))]
+    checks = [f"mean-second-adjoint-{g.ident}" for g in gs]
+    checks.append("mean-weighted-second-adjoint-const")
+    ests = malliavin.adjoint2_means(pairs, k, h, grid, p["samples"], seed, workers=workers)
     res = ExperimentResult()
-    for g in catalog(grid):
-        est = malliavin.adjoint2_mean(g, k, h, grid, p["samples"], seed, workers=workers)
-        res.rows.append(_mc_row(f"mean-second-adjoint-{g.ident}", est, 0.0))
-    coord = catalog_entry(grid, "coord")
-    est = malliavin.adjoint2_mean(
-        constant_one(grid), k, h, grid, p["samples"], seed,
-        weight=coord, workers=workers,
-    )
-    res.rows.append(_mc_row("mean-weighted-second-adjoint-const", est, 0.0))
+    for check, est in zip(checks, ests):
+        res.rows.append(_mc_row(check, est, 0.0))
     return res
 
 
@@ -818,6 +816,8 @@ def _run_double_max_ladder(p, seed, workers):
 # ---------------------------------------------------------------------------
 
 def _run_sampler_moments(p, seed, workers):
+    from scipy import special
+
     n, samples = p["n"], p["samples"]
     res = ExperimentResult()
     est = mc_run(lambda rng, c: rng.standard_normal(c), samples, seed, workers=workers)
@@ -830,22 +830,16 @@ def _run_sampler_moments(p, seed, workers):
     )
     res.rows.append(_mc_row(f"endpoint-sign-n{n}", est, 0.5))
     grid = TimeGrid(p["brownian_n"], p["horizon"])
-    est = mc_run(
-        lambda rng, c: brownian_values_batch(rng, c, grid)[:, -1] ** 2,
-        samples,
-        seed,
-        workers=workers,
-    )
-    res.rows.append(_mc_row("terminal-variance", est, p["horizon"]))
     a = 0.5 * math.sqrt(p["horizon"])
-    est = mc_run(
-        lambda rng, c: (brownian_values_batch(rng, c, grid).max(axis=1) > a).astype(float),
-        samples,
-        seed,
-        workers=workers,
-    )
-    ref = float(2.0 * stats.norm.sf(0.5))
-    res.rows.append(_mc_row("reflection-principle", est, ref, slack=0.02))
+
+    def brownian_rows(rng, c):
+        values = brownian_values_batch(rng, c, grid)
+        return np.stack([values[:, -1] ** 2, (values.max(axis=1) > a).astype(float)])
+
+    variance, reflection = mc_run_many(brownian_rows, samples, seed, workers=workers)
+    res.rows.append(_mc_row("terminal-variance", variance, p["horizon"]))
+    ref = float(2.0 * special.ndtr(-0.5))  # 2 P(W_T > a) at a = sqrt(T)/2
+    res.rows.append(_mc_row("reflection-principle", reflection, ref, slack=0.02))
     return res
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .sampling import (
     MCEstimate,
@@ -170,7 +169,9 @@ def bridge_argmax_histogram(
     counts, ties = mc_collect(task, samples, seed, combine=combine, workers=workers)
     expected = samples / n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    p_value = float(stats.chi2.sf(chi2, df=n - 1))
+    from scipy import special
+
+    p_value = float(special.chdtrc(n - 1, chi2))  # the chi-square survival function
     return ArgmaxHistogram(
         n=n,
         counts=tuple(int(c) for c in counts),

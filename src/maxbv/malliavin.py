@@ -32,8 +32,8 @@ from .paths import (
     direction_catalog,
     direction_inner,
     running_max,
-    running_max_tables,
     segment_split_stats,
+    split_tables,
     top_two_gap,
     wiener_integral_batch,
 )
@@ -43,6 +43,8 @@ from .sampling import (
     brownian_values_batch,
     mc_collect,
     mc_run,
+    mc_run_many,
+    moment_estimate,
 )
 
 #: Multiple of machine epsilon below which a 4-term alternating sum of
@@ -65,16 +67,6 @@ class FDConfig:
             raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-def first_order_config(grid: TimeGrid, tolerance: float = 1e-6) -> FDConfig:
-    """Default bump for first differences: 1e-5 of the path scale sqrt(T)."""
-    return FDConfig(eps=1e-5 * math.sqrt(grid.horizon), tolerance=tolerance)
-
-
-def second_order_config(grid: TimeGrid, tolerance: float = 1e-6) -> FDConfig:
-    """Default bump for second differences, which only certify zeros."""
-    return FDConfig(eps=1e-3 * math.sqrt(grid.horizon), tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -379,6 +371,33 @@ def skorokhod_second_adjoint(
     return float(second_adjoint_batch(g, k, h, path.values))
 
 
+def adjoint2_means(
+    pairs: Sequence[tuple[CylindricalFunction, CylindricalFunction | None]],
+    k: Direction,
+    h: Direction,
+    grid: TimeGrid,
+    samples: int,
+    seed: SeedSpec,
+    *,
+    workers: int = 1,
+) -> list[MCEstimate]:
+    """MC means of (weight *) d*_k(d*_h g), one per (g, weight) pair, all on
+    the same paths (drawn once per chunk); ``weight=None`` means 1.  Each is
+    zero in expectation for any grid-adapted weight with vanishing second
+    derivative (constants, single coordinates)."""
+
+    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
+        values = brownian_values_batch(rng, count, grid)
+        rows = np.empty((len(pairs), count))
+        for row, (g, weight) in zip(rows, pairs):
+            row[:] = second_adjoint_batch(g, k, h, values)
+            if weight is not None:
+                row *= weight.value(values)
+        return rows
+
+    return mc_run_many(statistic, samples, seed, workers=workers)
+
+
 def adjoint2_mean(
     g: CylindricalFunction,
     k: Direction,
@@ -390,18 +409,9 @@ def adjoint2_mean(
     weight: CylindricalFunction | None = None,
     workers: int = 1,
 ) -> MCEstimate:
-    """MC mean of (weight *) d*_k(d*_h g); zero in expectation for any
-    grid-adapted weight with vanishing second derivative (constants, single
-    coordinates)."""
-
-    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        values = brownian_values_batch(rng, count, grid)
-        out = second_adjoint_batch(g, k, h, values)
-        if weight is not None:
-            out = out * weight.value(values)
-        return out
-
-    return mc_run(statistic, samples, seed, workers=workers)
+    """The one-pair case of :func:`adjoint2_means`."""
+    (est,) = adjoint2_means([(g, weight)], k, h, grid, samples, seed, workers=workers)
+    return est
 
 
 def d2m_weak_estimator(
@@ -531,20 +541,12 @@ def chain_max_estimator(
 
 
 def _two_moment_estimates(acc: np.ndarray, seed: SeedSpec):
-    n = int(acc[0])
-    out = []
-    for s1, s2 in ((acc[1], acc[2]), (acc[3], acc[4])):
-        mean = s1 / n
-        var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-        out.append(
-            MCEstimate(
-                mean=float(mean),
-                std_error=float(math.sqrt(var / n)),
-                samples=n,
-                seed=seed,
-            )
-        )
-    return out[0], out[1]
+    """The bandwidth-b and b/2 estimates from a kernel accumulator
+    [count, s1(b), s2(b), s1(b/2), s2(b/2), effective]."""
+    return (
+        moment_estimate(acc[0], acc[1], acc[2], seed),
+        moment_estimate(acc[0], acc[3], acc[4], seed),
+    )
 
 
 def chain_max_integrated(
@@ -587,9 +589,9 @@ def chain_max_integrated(
 
     def task(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
-        fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
-        delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]  # (count, nodes)
-        increments = kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]]
+        fwd_max, fwd_arg, bwd_max, bwd_arg = split_tables(values, t_idx)
+        delta = bwd_max - fwd_max  # (count, nodes)
+        increments = kp[bwd_arg] - kp[fwd_arg]
         y = g.value(values)[:, None] * increments
         xb = (y * kcfg.weights(delta, b)) @ node_weight
         xh = (y * kcfg.weights(delta, b / 2.0)) @ node_weight

@@ -287,6 +287,70 @@ def running_max_tables(
     return fwd_max, fwd_arg, bwd_max, bwd_arg
 
 
+def split_tables(
+    values: np.ndarray, t_indices
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``t_indices`` columns of :func:`running_max_tables`, computed
+    without the full tables.
+
+    ``t_indices`` must be strictly increasing node indices.  The nodes cut
+    each path into blocks [0, t_0), [t_0, t_1), ..., [t_last, n]; one argmax
+    per block and a scan over the nodes give the prefix maxima over [0, t_j]
+    and the suffix maxima over [t_j, n] with the same first-attainment
+    argmax.  The forward scan replaces only on strict improvement (ties keep
+    the earlier index); the backward scan also replaces on ties (a tie in an
+    earlier block moves the argmax to that earlier index).
+
+    The outputs are column-major (count, nodes) arrays, the layout of the
+    fancy-indexed table columns ``table[:, t_indices]`` they replace.  This
+    matters bitwise: a matrix-vector product over them goes through BLAS
+    gemv, whose sums over C-ordered input of the same values differ in the
+    last ulp.
+    """
+    values = np.atleast_2d(values)
+    count, m = values.shape
+    t = np.asarray(t_indices, dtype=np.intp)
+    if t.ndim != 1 or len(t) == 0:
+        raise ValueError("need a non-empty 1-D sequence of split nodes")
+    if t[0] < 0 or t[-1] >= m or np.any(np.diff(t) <= 0):
+        raise IndexError(f"split nodes must be strictly increasing in [0, {m - 1}]")
+    rows = np.arange(count)
+
+    def block(a: int, b: int):
+        arg = a + values[:, a:b].argmax(axis=1)
+        return values[rows, arg], arg
+
+    def fold(run, new, ties_to_new: bool):
+        if run is None:
+            return new
+        better = new[0] >= run[0] if ties_to_new else new[0] > run[0]
+        return np.where(better, new[0], run[0]), np.where(better, new[1], run[1])
+
+    # blocks[0] = [0, t_0) (None when t_0 = 0), blocks[j] = [t_{j-1}, t_j),
+    # blocks[k] = [t_last, n]
+    bounds = np.concatenate(([0], t, [m]))
+    blocks = [block(a, b) if b > a else None for a, b in zip(bounds[:-1], bounds[1:])]
+
+    k = len(t)
+    fwd_max = np.empty((k, count))
+    fwd_arg = np.empty((k, count), dtype=np.intp)
+    bwd_max = np.empty((k, count))
+    bwd_arg = np.empty((k, count), dtype=np.intp)
+
+    run = blocks[0]
+    for j, tj in enumerate(t):
+        if j > 0:
+            run = fold(run, blocks[j], ties_to_new=False)  # now over [0, t_j)
+        run = fold(run, (values[:, tj], np.full(count, tj)), ties_to_new=False)
+        fwd_max[j], fwd_arg[j] = run
+
+    run = None
+    for j in range(k - 1, -1, -1):
+        run = fold(run, blocks[j + 1], ties_to_new=True)  # now over [t_j, n]
+        bwd_max[j], bwd_arg[j] = run
+    return fwd_max.T, fwd_arg.T, bwd_max.T, bwd_arg.T
+
+
 def top_two_gap(values: np.ndarray) -> np.ndarray:
     """Gap between the largest and second-largest entry of each row.
 
@@ -306,11 +370,15 @@ def segment_split_stats(
     array; cheaper than full tables when only one split point is needed.
     """
     values = np.atleast_2d(values)
+    rows = np.arange(values.shape[0])
     left = values[:, : t_index + 1]
     right = values[:, t_index:]
+    arg_left = left.argmax(axis=1)
+    arg_right = right.argmax(axis=1)
+    # the maxima are read at the argmax, which saves a second pass
     return (
-        left.max(axis=1),
-        left.argmax(axis=1),
-        right.max(axis=1),
-        t_index + right.argmax(axis=1),
+        left[rows, arg_left],
+        arg_left,
+        right[rows, arg_right],
+        t_index + arg_right,
     )

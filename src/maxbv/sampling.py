@@ -2,11 +2,12 @@
 driver.
 
 Reproducibility contract: every sampler is a pure function of its inputs and
-a :class:`SeedSpec`; ``mc_run``/``mc_collect`` partition work over a fixed
-number of substreams and reduce in ascending stream order, so results are
-bit-identical for any worker count.  The normal generator is pinned per build
-(numpy PCG64 via ``default_rng``) and recorded in run manifests; statistical
-acceptance bands absorb cross-platform generator differences.
+a :class:`SeedSpec`; ``mc_run``/``mc_run_many``/``mc_collect`` partition work
+over a fixed number of substreams and reduce in ascending stream order, so
+results are bit-identical for any worker count.  The normal generator is
+pinned per build (numpy PCG64 via ``default_rng``) and recorded in run
+manifests; statistical acceptance bands absorb cross-platform generator
+differences.
 """
 
 from __future__ import annotations
@@ -222,41 +223,58 @@ def mc_collect(
     return acc
 
 
+def moment_estimate(count, s1, s2, seed: SeedSpec) -> MCEstimate:
+    """Mean and standard error from a sample count and the sums of the
+    values and of their squares."""
+    n = int(count)
+    mean = s1 / n
+    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
+    return MCEstimate(
+        mean=float(mean),
+        std_error=float(np.sqrt(var / n)),
+        samples=n,
+        seed=seed,
+    )
+
+
 def _moment_task(
     statistic: Callable[[np.random.Generator, int], np.ndarray], seed: SeedSpec
 ):
     def task(rng: np.random.Generator, count: int):
         vals = np.asarray(statistic(rng, count), dtype=float)
-        if vals.shape != (count,):
+        if vals.ndim != 2 or vals.shape[1] != count:
             raise ValueError(
-                f"statistic must return one value per sample, got {vals.shape}"
+                f"statistic must return one row of {count} sample values per "
+                f"estimate, got {vals.shape}"
             )
         if not np.isfinite(vals).all():
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), count)
             raise NonFiniteStatisticError(
-                f"statistic returned a non-finite value (sample offset {bad}); "
-                f"seed {seed.label}",
+                f"statistic returned a non-finite value (row {row}, sample "
+                f"offset {bad}); seed {seed.label}",
                 master_seed=seed.master_seed,
                 stream_index=seed.stream_index,
             )
-        return np.array([count, vals.sum(), np.dot(vals, vals)])
+        return np.array([[count, v.sum(), np.dot(v, v)] for v in vals])
 
     return task
 
 
-def mc_run(
+def mc_run_many(
     statistic: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     seed: SeedSpec,
     *,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
-) -> MCEstimate:
-    """Monte Carlo mean of a per-sample statistic.
+) -> list[MCEstimate]:
+    """Monte Carlo means of several per-sample statistics on shared draws.
 
-    ``statistic(rng, count)`` must be a pure function returning a (count,)
-    array of sample values; it owns both the sampling and the evaluation.
-    The estimate is bit-identical for any worker count.
+    ``statistic(rng, count)`` must be a pure function returning an
+    (m, count) array, one row of sample values per estimate; it owns both
+    the sampling and the evaluation, and draws once per chunk for all m
+    rows.  Row i's estimate is bit-identical to :func:`mc_run` of a
+    statistic returning row i alone, for any worker count.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -268,16 +286,35 @@ def mc_run(
         workers=workers,
         chunk_size=chunk_size,
     )
-    count, s1, s2 = moments
-    n = int(count)
-    mean = s1 / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-    return MCEstimate(
-        mean=float(mean),
-        std_error=float(np.sqrt(var / n)),
-        samples=n,
-        seed=seed,
-    )
+    return [moment_estimate(count, s1, s2, seed) for count, s1, s2 in moments]
+
+
+def mc_run(
+    statistic: Callable[[np.random.Generator, int], np.ndarray],
+    samples: int,
+    seed: SeedSpec,
+    *,
+    workers: int = 1,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> MCEstimate:
+    """Monte Carlo mean of a per-sample statistic: the one-row case of
+    :func:`mc_run_many`.
+
+    ``statistic(rng, count)`` must be a pure function returning a (count,)
+    array of sample values.  The estimate is bit-identical for any worker
+    count.
+    """
+
+    def one_row(rng: np.random.Generator, count: int) -> np.ndarray:
+        vals = np.asarray(statistic(rng, count), dtype=float)
+        if vals.shape != (count,):
+            raise ValueError(
+                f"statistic must return one value per sample, got {vals.shape}"
+            )
+        return vals[None]
+
+    (est,) = mc_run_many(one_row, samples, seed, workers=workers, chunk_size=chunk_size)
+    return est
 
 
 def pooled_estimate(estimates: Sequence[MCEstimate]) -> MCEstimate:

@@ -1,11 +1,15 @@
 """Config parsing, the run/report/verify verbs, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import maxbv
 from maxbv import fluctuation
 from maxbv.cli import load_config, main
 from maxbv.errors import ConfigError
@@ -113,6 +117,45 @@ class TestRun:
         assert code == 1
         printed = capsys.readouterr().out
         assert "FAIL" in printed and "stay-below-n10" in printed
+
+    def test_chain_run_does_not_import_scipy(self, tmp_path):
+        # scipy costs about a second of start-up; only the quadrature rows,
+        # bridge_argmax and the reflection reference may load it
+        config = write(tmp_path, """
+[run]
+seed = 7
+workers = 1
+
+[experiment:chain]
+operation = malliavin.chain_vs_weak
+n = 200
+samples = 3000
+nodes = 24
+
+[experiment:adjoint2]
+operation = malliavin.adjoint2_zero
+n = 64
+samples = 2000
+""")
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import maxbv.cli\n"
+            f"code = maxbv.cli.main(['run', '--config', {str(config)!r}, "
+            f"'--out', {str(out)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(maxbv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert (out / "chain.csv").exists() and (out / "adjoint2.csv").exists()
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestReport:

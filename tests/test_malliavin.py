@@ -11,6 +11,7 @@ from maxbv.malliavin import (
     FDConfig,
     KernelConfig,
     adjoint2_mean,
+    adjoint2_means,
     chain_max_estimator,
     chain_max_integrated,
     d2m_weak_estimator,
@@ -29,8 +30,15 @@ from maxbv.malliavin import (
     verify_grad_max,
 )
 from maxbv.density import lt_zero_closed
-from maxbv.paths import Direction, DiscretePath, TimeGrid, direction_inner, wiener_integral
-from maxbv.sampling import SeedSpec, sample_brownian
+from maxbv.paths import (
+    Direction,
+    DiscretePath,
+    TimeGrid,
+    direction_inner,
+    running_max_tables,
+    wiener_integral,
+)
+from maxbv.sampling import SeedSpec, brownian_values_batch, mc_collect, sample_brownian
 
 GRID = TimeGrid(400, 1.0)
 SEED = SeedSpec(5150, 0)
@@ -150,6 +158,17 @@ class TestSecondAdjoint:
         )
         assert est.within(0.0)
 
+    def test_shared_draw_rows_equal_single_pair_runs(self):
+        h = Direction.constant(GRID)
+        k = Direction.indicator(GRID, 0.0, 0.5)
+        coord = catalog_entry(GRID, "coord")
+        pairs = [(constant_one(GRID), None), (catalog_entry(GRID, "bump"), None),
+                 (constant_one(GRID), coord)]
+        seed = SeedSpec(5150, 23)
+        many = adjoint2_means(pairs, k, h, GRID, 3_000, seed, workers=2)
+        for (g, weight), est in zip(pairs, many):
+            assert est == adjoint2_mean(g, k, h, GRID, 3_000, seed, weight=weight)
+
     def test_disjoint_zero_densities(self):
         path = brownian(10)
         zero = Direction(GRID, np.zeros(GRID.n), label="null")
@@ -226,6 +245,48 @@ class TestChainMax:
         comb = math.hypot(weak.std_error, chain.estimate_half.std_error)
         gap = abs(weak.mean - chain.estimate_half.mean)
         assert gap <= 3 * comb + chain.bias_diagnostic
+
+
+def _chain_integrated_on_full_tables(g, k, h, grid, b, samples, seed, nodes):
+    """The integrated chain estimator's moments, computed from full
+    running-max tables: the reference for the node-restricted tables."""
+    n = grid.n
+    t_idx = np.unique(
+        np.clip(np.round((np.arange(nodes) + 0.5) * n / nodes).astype(int), 1, n - 1)
+    )
+    node_weight = h.density[t_idx] * (grid.horizon / nodes)
+    kp = k.primitive
+    kcfg = KernelConfig()
+
+    def task(rng, count):
+        values = brownian_values_batch(rng, count, grid)
+        fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
+        delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
+        y = g.value(values)[:, None] * (kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]])
+        xb = (y * kcfg.weights(delta, b)) @ node_weight
+        xh = (y * kcfg.weights(delta, b / 2.0)) @ node_weight
+        return np.array([count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh)])
+
+    return mc_collect(task, samples, seed, combine=np.add)
+
+
+class TestChainIntegratedTables:
+    @pytest.mark.parametrize("ident", ["const1", "bump"])
+    def test_bit_identical_to_full_table_reference(self, ident):
+        g = constant_one(GRID) if ident == "const1" else catalog_entry(GRID, ident)
+        h = Direction.constant(GRID)
+        k = Direction.indicator(GRID, 0.0, 0.5)
+        seed = SeedSpec(5150, 24)
+        chain = chain_max_integrated(g, k, h, GRID, KernelConfig(), 4_000, seed)
+        n, s1, s2, s1h, s2h = _chain_integrated_on_full_tables(
+            g, k, h, GRID, chain.bandwidth, 4_000, seed, nodes=24
+        )
+        for est, (sum1, sum2) in ((chain.estimate, (s1, s2)),
+                                  (chain.estimate_half, (s1h, s2h))):
+            mean = sum1 / n
+            var = max(0.0, (sum2 - n * mean * mean) / (n - 1))
+            assert est.mean == mean
+            assert est.std_error == math.sqrt(var / n)
 
 
 class TestSplitGapDensity:

@@ -20,6 +20,7 @@ from maxbv.paths import (
     running_max,
     running_max_tables,
     segment_split_stats,
+    split_tables,
     top_two_gap,
     wiener_integral,
 )
@@ -235,6 +236,57 @@ class TestBatchTables:
             assert fwd_arg[0, i] == left.argmax_index
             assert bwd_max[0, i] == right.max_value
             assert bwd_arg[0, i] == right.argmax_index
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_tables_match_full_table_columns(self, data):
+        # tie-heavy rows: values rounded to one decimal on a coarse range
+        n = data.draw(st.integers(2, 14), label="n")
+        rows = data.draw(st.integers(1, 4), label="rows")
+        tails = data.draw(
+            st.lists(
+                st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+                min_size=rows, max_size=rows,
+            ),
+            label="tails",
+        )
+        values = np.round(np.array([[0.0] + tail for tail in tails]), 1)
+        # any non-empty set of interior nodes (adjacent pairs occur), with the
+        # end nodes 1 and n-1 forced in often
+        interior = list(range(1, n))
+        nodes = data.draw(st.sets(st.sampled_from(interior), min_size=1), label="nodes")
+        ends = data.draw(st.sampled_from([(), (1,), (n - 1,), (1, n - 1)]), label="ends")
+        nodes = sorted(nodes | set(ends))
+        full = running_max_tables(values)
+        for table, part in zip(full, split_tables(values, nodes)):
+            assert part.shape == (rows, len(nodes))
+            assert np.array_equal(part, table[:, nodes])
+
+    @pytest.mark.parametrize("nodes", [[1], [1, 2], [3, 4, 5], [0, 7], [1, 6], [0, 1, 6, 7]])
+    def test_split_tables_edge_nodes_with_ties(self, nodes):
+        values = np.array([
+            [0.0, 1.0, 1.0, 0.5, 1.0, 0.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, -1.0, 2.0, 2.0, -1.0, 2.0, 0.5, 2.0],
+        ])
+        full = running_max_tables(values)
+        for table, part in zip(full, split_tables(values, nodes)):
+            assert np.array_equal(part, table[:, nodes])
+
+    def test_split_tables_on_production_chunk(self):
+        rng = np.random.default_rng(1001)
+        values = np.zeros((1024, 1001))
+        np.cumsum(rng.standard_normal((1024, 1000)), axis=1, out=values[:, 1:])
+        nodes = np.round((np.arange(24) + 0.5) * 1000 / 24).astype(int)
+        full = running_max_tables(values)
+        for table, part in zip(full, split_tables(values, nodes)):
+            assert np.array_equal(part, table[:, nodes])
+            assert part.flags.f_contiguous  # the layout of the columns it replaces
+
+    @pytest.mark.parametrize("nodes", [[], [3, 3], [4, 2], [-1, 2], [2, 8]])
+    def test_split_tables_rejects_bad_nodes(self, nodes):
+        with pytest.raises((ValueError, IndexError)):
+            split_tables(np.zeros((2, 8)), nodes)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=12), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)

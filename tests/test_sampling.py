@@ -11,6 +11,7 @@ from maxbv.sampling import (
     bridge_sums_batch,
     mc_collect,
     mc_run,
+    mc_run_many,
     pooled_estimate,
     sample_bridge,
     sample_brownian,
@@ -194,6 +195,42 @@ class TestMCRun:
     def test_mc_run_repeatable_exactly(self):
         stat = lambda rng, c: rng.standard_normal(c)
         assert mc_run(stat, 10_000, SEED) == mc_run(stat, 10_000, SEED)
+
+
+class TestMCRunMany:
+    @staticmethod
+    def rows(rng, c):
+        sums = walk_sums_batch(rng, c, 6)
+        return np.stack([
+            sums[:, -1],
+            (sums[:, 1:].max(axis=1) <= 0).astype(float),
+            sums[:, 3] ** 2,
+        ])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_separate_runs_bitwise(self, workers):
+        many = mc_run_many(self.rows, 20_000, SEED, workers=workers, chunk_size=300)
+        for i, est in enumerate(many):
+            single = mc_run(
+                lambda rng, c, i=i: self.rows(rng, c)[i], 20_000, SEED,
+                workers=workers, chunk_size=300,
+            )
+            assert est == single
+
+    def test_nonfinite_value_in_one_row_aborts(self):
+        def statistic(rng, c):
+            vals = rng.standard_normal((3, c))
+            vals[2, 5] = np.inf
+            return vals
+
+        with pytest.raises(NonFiniteStatisticError, match="row 2, sample offset 5"):
+            mc_run_many(statistic, 1000, SeedSpec(31, 4))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="one row"):
+            mc_run_many(lambda rng, c: np.ones(c), 100, SEED)
+        with pytest.raises(ValueError, match="one value per sample"):
+            mc_run(lambda rng, c: np.ones((1, c)), 100, SEED)
 
 
 class TestPooling:
