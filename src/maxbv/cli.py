@@ -64,10 +64,8 @@ def load_config(path: Path) -> tuple[dict, list[ExperimentSpec]]:
     for section in parser.sections():
         if section == "run":
             for key, value in parser.items("run"):
-                if key == "seed":
-                    run_opts["seed"] = int(value)
-                elif key == "workers":
-                    run_opts["workers"] = int(value)
+                if key in ("seed", "workers"):
+                    run_opts[key] = _run_option(key, value)
                 elif key == "out":
                     run_opts["out"] = value
                 else:
@@ -103,6 +101,26 @@ def load_config(path: Path) -> tuple[dict, list[ExperimentSpec]]:
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate experiment ids in config")
     return run_opts, specs
+
+
+#: Smallest accepted value of each integer [run] option.
+_RUN_MINIMUM = {"seed": 0, "workers": 1}
+
+
+def _run_option(key: str, value) -> int:
+    """A [run] seed or worker count (from the config or the command line),
+    parsed and range-checked."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"run/{key}: expected an integer, got {value!r}") from None
+    if number < _RUN_MINIMUM[key]:
+        raise ConfigError(f"run/{key}: must be >= {_RUN_MINIMUM[key]}")
+    return number
+
+
+def _override(cli_value, default):
+    return default if cli_value is None else cli_value
 
 
 def _resolve_out(cli_out: str | None, config_out: str | None) -> Path:
@@ -206,8 +224,8 @@ def _print_rows(results: dict[str, ExperimentResult]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     run_opts, specs = load_config(Path(args.config))
-    master_seed = args.seed if args.seed is not None else run_opts["seed"]
-    workers = args.workers if args.workers is not None else run_opts["workers"]
+    master_seed = _run_option("seed", _override(args.seed, run_opts["seed"]))
+    workers = _run_option("workers", _override(args.workers, run_opts["workers"]))
     out_dir = _resolve_out(args.out, run_opts["out"])
     try:
         results = run_suite(specs, master_seed, workers)
@@ -221,17 +239,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    master_seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
-    workers = args.workers if args.workers is not None else 1
+    master_seed = _run_option("seed", _override(args.seed, DEFAULT_MASTER_SEED))
+    workers = _run_option("workers", _override(args.workers, 1))
     out_dir = _resolve_out(args.out, None)
-    if args.preset == "quick":
-        specs = quick_preset()
-        results = run_suite(specs, master_seed, workers)
-        ok = _write_outputs(out_dir, results, specs, master_seed, workers)
-        _print_rows(results)
-        print(f"verify quick: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 1
+    try:
+        if args.preset == "quick":
+            return _verify_quick(out_dir, master_seed, workers)
+        return _verify_full(out_dir, master_seed, workers)
+    except MaxBVError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _verify_quick(out_dir: Path, master_seed: int, workers: int) -> int:
+    specs = quick_preset()
+    results = run_suite(specs, master_seed, workers)
+    ok = _write_outputs(out_dir, results, specs, master_seed, workers)
+    _print_rows(results)
+    print(f"verify quick: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
+def _verify_full(out_dir: Path, master_seed: int, workers: int) -> int:
     criteria = acceptance_criteria()
     all_ok = True
     specs_flat: list[ExperimentSpec] = []

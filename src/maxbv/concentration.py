@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .paths import TimeGrid, segment_split_stats
+from .paths import TimeGrid, segment_split_stats, top_two_gap
 from .sampling import MCEstimate, SeedSpec, brownian_values_batch, mc_collect
 
 
@@ -51,8 +51,7 @@ def unique_max_check(
 
     def task(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
-        top2 = np.partition(values, values.shape[1] - 2, axis=1)[:, -2:]
-        gap = top2[:, 1] - top2[:, 0]
+        gap = top_two_gap(values)
         ties = int((gap == 0.0).sum())
         counts = (gap[:, None] < thr[None, :]).sum(axis=0)
         return np.concatenate(([count, ties], counts)).astype(np.int64)

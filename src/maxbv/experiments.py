@@ -408,26 +408,25 @@ def _run_chain_vs_weak(p, seed, workers):
     g = catalog_entry(grid, p["g"]) if p["g"] != "const1" else constant_one(grid)
     h = Direction.constant(grid)
     k = Direction.constant(grid)
-    weak = malliavin.d2m_weak_estimator(g, k, h, grid, p["samples"], seed, workers=workers)
-    chain = malliavin.chain_max_integrated(
-        g, k, h, grid, malliavin.KernelConfig(), p["samples"],
-        SeedSpec(seed.master_seed, seed.stream_index + 1),
+    # both routes on common paths: the gate is a paired test on their
+    # per-path difference, whose standard error accounts for the correlation
+    weak, chain, diff = malliavin.chain_vs_weak_paired(
+        g, k, h, grid, malliavin.KernelConfig(), p["samples"], seed,
         nodes=p["nodes"], workers=workers,
     )
     primary = chain.estimate_half  # less kernel bias; diagnostic bounds the rest
-    comb = math.hypot(weak.std_error, primary.std_error)
-    tol = 3.0 * comb + chain.bias_diagnostic
-    gap = abs(weak.mean - primary.mean)
+    tol = 3.0 * diff.std_error + chain.bias_diagnostic
+    gap = abs(diff.mean)
     res = ExperimentResult()
     res.rows.append(
         _row(
             f"chain-vs-weak-{p['g']}",
             gap,
-            std_error=comb,
+            std_error=diff.std_error,
             reference=0.0,
             tolerance=tol,
             passed=gap <= tol,
-            samples=weak.samples + primary.samples,
+            samples=diff.samples,
         )
     )
     res.series["estimates"] = (

@@ -32,6 +32,7 @@ from .paths import (
     direction_catalog,
     direction_inner,
     running_max,
+    same_density,
     segment_split_stats,
     split_tables,
     top_two_gap,
@@ -345,7 +346,11 @@ def tied_peak_second_differences(
 # ---------------------------------------------------------------------------
 
 def second_adjoint_batch(
-    g: CylindricalFunction, k: Direction, h: Direction, values: np.ndarray
+    g: CylindricalFunction,
+    k: Direction,
+    h: Direction,
+    values: np.ndarray,
+    integrals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact second adjoint d*_k(d*_h g) on a batch of node-value arrays.
 
@@ -354,13 +359,18 @@ def second_adjoint_batch(
 
         d*_k(d*_h g) = d_k d_h g - (d_k g) I(h) - g <k', h'>
                        - I(k) (d_h g - g I(h)).
+
+    ``integrals`` is (I(k), I(h)) on ``values`` when the caller already has
+    them (several functionals on one batch).  When k and h have equal
+    densities, I(h) and d_h g serve for k as well.
     """
+    if integrals is None:
+        integrals = wiener_integral_batch((k, h), values)
+    integral_k, integral_h = integrals
     gv = g.value(values)
     dh = g.directional(values, h)
-    dk = g.directional(values, k)
+    dk = dh if same_density(k, h) else g.directional(values, k)
     dd = g.second_directional(values, k, h)
-    integral_h = wiener_integral_batch(h, values)
-    integral_k = wiener_integral_batch(k, values)
     inner = direction_inner(k, h)
     return dd - dk * integral_h - gv * inner - integral_k * (dh - gv * integral_h)
 
@@ -382,15 +392,17 @@ def adjoint2_means(
     workers: int = 1,
 ) -> list[MCEstimate]:
     """MC means of (weight *) d*_k(d*_h g), one per (g, weight) pair, all on
-    the same paths (drawn once per chunk); ``weight=None`` means 1.  Each is
-    zero in expectation for any grid-adapted weight with vanishing second
-    derivative (constants, single coordinates)."""
+    the same paths (drawn once per chunk, with I(k) and I(h) formed once per
+    chunk); ``weight=None`` means 1.  Each is zero in expectation for any
+    grid-adapted weight with vanishing second derivative (constants, single
+    coordinates)."""
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
         values = brownian_values_batch(rng, count, grid)
+        integrals = wiener_integral_batch((k, h), values)
         rows = np.empty((len(pairs), count))
         for row, (g, weight) in zip(rows, pairs):
-            row[:] = second_adjoint_batch(g, k, h, values)
+            row[:] = second_adjoint_batch(g, k, h, values, integrals)
             if weight is not None:
                 row *= weight.value(values)
         return rows
@@ -414,6 +426,14 @@ def adjoint2_mean(
     return est
 
 
+def _weak_values(
+    g: CylindricalFunction, k: Direction, h: Direction, values: np.ndarray
+) -> np.ndarray:
+    """Per-path values M * d*_k(d*_h g) of the double integration-by-parts
+    route."""
+    return values.max(axis=1) * second_adjoint_batch(g, k, h, values)
+
+
 def d2m_weak_estimator(
     g: CylindricalFunction,
     k: Direction,
@@ -428,8 +448,7 @@ def d2m_weak_estimator(
     pairing of the second derivative of M against g along k' (x) h'."""
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        values = brownian_values_batch(rng, count, grid)
-        return values.max(axis=1) * second_adjoint_batch(g, k, h, values)
+        return _weak_values(g, k, h, brownian_values_batch(rng, count, grid))
 
     return mc_run(statistic, samples, seed, workers=workers)
 
@@ -549,6 +568,69 @@ def _two_moment_estimates(acc: np.ndarray, seed: SeedSpec):
     )
 
 
+@dataclass(frozen=True)
+class _SplitQuadrature:
+    """The integrated split-point route of :func:`chain_max_integrated`:
+    interior split nodes, their midpoint weights h'(t) dt, and the kernel
+    bandwidth."""
+
+    g: CylindricalFunction
+    k: Direction
+    kcfg: KernelConfig
+    t_idx: np.ndarray
+    node_weight: np.ndarray
+    bandwidth: float
+
+    @classmethod
+    def build(cls, g, k, h, grid, kcfg, samples, seed, nodes) -> _SplitQuadrature:
+        n, horizon = grid.n, grid.horizon
+        t_idx = np.unique(
+            np.clip(np.round((np.arange(nodes) + 0.5) * n / nodes).astype(int), 1, n - 1)
+        )
+        if len(t_idx) < nodes:
+            raise ValueError(f"grid too coarse for {nodes} distinct interior nodes")
+        b = kcfg.bandwidth
+        if b is None:
+            mid = int(t_idx[len(t_idx) // 2])
+
+            def mid_deltas(values: np.ndarray) -> np.ndarray:
+                max_l, _, max_r, _ = segment_split_stats(values, mid)
+                return max_r - max_l
+
+            b = _auto_bandwidth(mid_deltas, grid, samples, seed)
+        node_weight = h.density[t_idx] * (horizon / nodes)
+        return cls(g, k, kcfg, t_idx, node_weight, b)
+
+    def per_path(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Per-path values at bandwidths b and b/2 on one chunk, and the
+        chunk's effective-sample count at the least-covered node."""
+        kp, kcfg, b = self.k.primitive, self.kcfg, self.bandwidth
+        fwd_max, fwd_arg, bwd_max, bwd_arg = split_tables(values, self.t_idx)
+        delta = bwd_max - fwd_max  # (count, nodes), column-major like the tables
+        y = self.g.value(values)[:, None] * (kp[bwd_arg] - kp[fwd_arg])
+        xb = (y * kcfg.weights(delta, b)) @ self.node_weight
+        xh = (y * kcfg.weights(delta, b / 2.0)) @ self.node_weight
+        # per-chunk minimum over nodes; summing chunk minima lower-bounds the
+        # true per-node total, so the flag in ``estimate`` stays conservative
+        eff = int((np.abs(delta - kcfg.target) <= b).sum(axis=0).min())
+        return xb, xh, eff
+
+    def estimate(self, acc: np.ndarray, seed: SeedSpec) -> ChainMaxEstimate:
+        """The estimate from an accumulator [count, s1(b), s2(b), s1(b/2),
+        s2(b/2), effective]."""
+        est, est_half = _two_moment_estimates(acc, seed)
+        eff = int(acc[5])
+        if eff < 100:
+            raise InsufficientSamplesError(
+                f"bandwidth {self.bandwidth:.3g} left only {eff} effective "
+                f"samples at the least-covered node"
+            )
+        return ChainMaxEstimate(
+            estimate=est, estimate_half=est_half, bandwidth=self.bandwidth,
+            effective_samples=eff,
+        )
+
+
 def chain_max_integrated(
     g: CylindricalFunction,
     k: Direction,
@@ -567,52 +649,58 @@ def chain_max_integrated(
     Estimates the same measure pairing as :func:`d2m_weak_estimator`, by the
     split-point disintegration route.  All quadrature nodes are interior.
     """
-    n, horizon = grid.n, grid.horizon
-    t_idx = np.unique(
-        np.clip(np.round((np.arange(nodes) + 0.5) * n / nodes).astype(int), 1, n - 1)
-    )
-    if len(t_idx) < nodes:
-        raise ValueError(f"grid too coarse for {nodes} distinct interior nodes")
-    dt = horizon / nodes
-    node_weight = h.density[t_idx] * dt
-    kp = k.primitive
-
-    b = kcfg.bandwidth
-    if b is None:
-        mid = int(t_idx[len(t_idx) // 2])
-
-        def mid_deltas(values: np.ndarray) -> np.ndarray:
-            max_l, _, max_r, _ = segment_split_stats(values, mid)
-            return max_r - max_l
-
-        b = _auto_bandwidth(mid_deltas, grid, samples, seed)
+    route = _SplitQuadrature.build(g, k, h, grid, kcfg, samples, seed, nodes)
 
     def task(rng: np.random.Generator, count: int):
-        values = brownian_values_batch(rng, count, grid)
-        fwd_max, fwd_arg, bwd_max, bwd_arg = split_tables(values, t_idx)
-        delta = bwd_max - fwd_max  # (count, nodes)
-        increments = kp[bwd_arg] - kp[fwd_arg]
-        y = g.value(values)[:, None] * increments
-        xb = (y * kcfg.weights(delta, b)) @ node_weight
-        xh = (y * kcfg.weights(delta, b / 2.0)) @ node_weight
-        # per-chunk minimum over nodes; summing chunk minima lower-bounds the
-        # true per-node total, so the flag below stays conservative
-        eff = int((np.abs(delta - kcfg.target) <= b).sum(axis=0).min())
+        xb, xh, eff = route.per_path(brownian_values_batch(rng, count, grid))
         return np.array(
             [count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh), eff]
         )
 
     acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    est, est_half = _two_moment_estimates(acc, seed)
-    eff = int(acc[5])
-    if eff < 100:
-        raise InsufficientSamplesError(
-            f"bandwidth {b:.3g} left only {eff} effective samples at the "
-            f"least-covered node"
-        )
-    return ChainMaxEstimate(
-        estimate=est, estimate_half=est_half, bandwidth=b, effective_samples=eff
-    )
+    return route.estimate(acc, seed)
+
+
+def chain_vs_weak_paired(
+    g: CylindricalFunction,
+    k: Direction,
+    h: Direction,
+    grid: TimeGrid,
+    kcfg: KernelConfig,
+    samples: int,
+    seed: SeedSpec,
+    *,
+    nodes: int = 24,
+    workers: int = 1,
+) -> tuple[MCEstimate, ChainMaxEstimate, MCEstimate]:
+    """Both routes to the measure pairing on common paths: the
+    double integration-by-parts estimate, the integrated split-point
+    estimate, and the estimate of their per-path difference
+    weak - chain(b/2).
+
+    Each chunk is drawn once and serves both routes.  The first two results
+    are bit-identical to :func:`d2m_weak_estimator` and
+    :func:`chain_max_integrated` on the same ``seed``.  The two routes are
+    correlated path by path, so compare them by the difference's standard
+    error, not by combining their separate standard errors.
+    """
+    route = _SplitQuadrature.build(g, k, h, grid, kcfg, samples, seed, nodes)
+
+    def task(rng: np.random.Generator, count: int):
+        values = brownian_values_batch(rng, count, grid)
+        weak = _weak_values(g, k, h, values)
+        xb, xh, eff = route.per_path(values)
+        d = weak - xh
+        return np.array([
+            count, weak.sum(), np.dot(weak, weak), xb.sum(), np.dot(xb, xb),
+            xh.sum(), np.dot(xh, xh), d.sum(), np.dot(d, d), eff,
+        ])
+
+    acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
+    weak = moment_estimate(acc[0], acc[1], acc[2], seed)
+    chain = route.estimate(acc[[0, 3, 4, 5, 6, 9]], seed)
+    diff = moment_estimate(acc[0], acc[7], acc[8], seed)
+    return weak, chain, diff
 
 
 def split_gap_density_mc(

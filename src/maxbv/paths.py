@@ -236,9 +236,27 @@ def wiener_integral(h: Direction, path: DiscretePath) -> float:
     return float(np.dot(h.density, np.diff(path.values)))
 
 
-def wiener_integral_batch(h: Direction, values: np.ndarray) -> np.ndarray:
-    """Vectorized ``wiener_integral`` over a (batch, n+1) array of node values."""
-    return np.diff(values, axis=-1) @ h.density
+def wiener_integral_batch(h, values: np.ndarray):
+    """Vectorized ``wiener_integral`` over a (batch, n+1) array of node values.
+
+    ``h`` may also be a tuple of directions: the increments are then formed
+    once and a tuple of integrals is returned, one per direction.  A
+    direction whose density equals an earlier one's reuses that integral,
+    which is bitwise what a separate call would give.
+    """
+    if isinstance(h, Direction):
+        return np.diff(values, axis=-1) @ h.density
+    increments = np.diff(values, axis=-1)
+    out: list[np.ndarray] = []
+    for i, d in enumerate(h):
+        same = next((j for j in range(i) if same_density(h[j], d)), None)
+        out.append(increments @ d.density if same is None else out[same])
+    return tuple(out)
+
+
+def same_density(h: Direction, k: Direction) -> bool:
+    """True if the two directions have equal densities on the same grid."""
+    return h is k or (h.grid == k.grid and np.array_equal(h.density, k.density))
 
 
 def direction_inner(h: Direction, k: Direction) -> float:
@@ -354,11 +372,17 @@ def split_tables(
 def top_two_gap(values: np.ndarray) -> np.ndarray:
     """Gap between the largest and second-largest entry of each row.
 
-    A gap of exactly 0 means the discrete maximum is tied.
+    A gap of exactly 0 means the discrete maximum is tied.  The maximum is
+    read at the argmax, and the runner-up is the maximum of a copy with that
+    one entry set to -inf, so a tie leaves the same value behind.  ``values``
+    is not modified.
     """
     values = np.atleast_2d(values)
-    top2 = np.partition(values, values.shape[1] - 2, axis=1)[:, -2:]
-    return top2[:, 1] - top2[:, 0]
+    rows = np.arange(values.shape[0])
+    arg = values.argmax(axis=1)
+    rest = values.copy()
+    rest[rows, arg] = -np.inf
+    return values[rows, arg] - rest.max(axis=1)
 
 
 def segment_split_stats(

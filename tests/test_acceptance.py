@@ -3,7 +3,13 @@
 Each test runs one numbered criterion from the shared registry (the same
 one `maxbv verify --preset full` executes) and prints a PASS/FAIL line, so
 the suite doubles as the sign-off protocol for the build.
+
+The criteria run on every core: Monte Carlo streams are the same for any
+worker count, so only the wall time depends on it.  Criterion 14 still
+compares its CSVs against a single-worker run.
 """
+
+import os
 
 import pytest
 
@@ -11,13 +17,14 @@ from maxbv.cli import reproducibility_check
 from maxbv.experiments import DEFAULT_MASTER_SEED, acceptance_criteria, run_experiment
 
 CRITERIA = {c.number: c for c in acceptance_criteria()}
+WORKERS = os.cpu_count() or 1
 
 
 def run_criterion(number: int, capsys=None) -> None:
     criterion = CRITERIA[number]
     failures = []
     for spec in criterion.experiments:
-        result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=1)
+        result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=WORKERS)
         for row in result.rows:
             if row.passed is False:
                 failures.append(
@@ -39,7 +46,7 @@ def test_criterion_14_reproducibility(tmp_path):
     criterion = CRITERIA[14]
     failures = []
     for spec in criterion.experiments:
-        result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=1)
+        result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=WORKERS)
         failures += [r.check for r in result.rows if r.passed is False]
     repro = reproducibility_check(DEFAULT_MASTER_SEED, 1, tmp_path)
     failures += [r.check for r in repro.rows if r.passed is False]

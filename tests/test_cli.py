@@ -11,8 +11,9 @@ import pytest
 
 import maxbv
 from maxbv import fluctuation
+from maxbv import cli
 from maxbv.cli import load_config, main
-from maxbv.errors import ConfigError
+from maxbv.errors import ConfigError, InsufficientSamplesError
 
 GOOD_CONFIG = """
 [run]
@@ -156,6 +157,46 @@ samples = 2000
         assert proc.returncode in (0, 1), proc.stderr
         assert (out / "chain.csv").exists() and (out / "adjoint2.csv").exists()
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+class TestBadRunOptions:
+    """Bad [run] input exits 2 and names its field path, from the config or
+    from the command line, for run and verify alike."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", "abc", "run/seed: expected an integer"),
+        ("seed", "-1", "run/seed: must be >= 0"),
+        ("workers", "0", "run/workers: must be >= 1"),
+        ("workers", "two", "run/workers: expected an integer"),
+    ])
+    def test_config_value(self, tmp_path, capsys, key, value, message):
+        good = {"seed": "seed = 99", "workers": "workers = 1"}[key]
+        config = write(tmp_path, GOOD_CONFIG.replace(good, f"{key} = {value}"))
+        with pytest.raises(ConfigError, match=message):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "run/workers: must be >= 1"),
+        ("--seed", "-5", "run/seed: must be >= 0"),
+    ])
+    def test_command_line_value(self, tmp_path, capsys, verb, flag, value, message):
+        argv = [verb, "--out", str(tmp_path / "o"), flag, value]
+        if verb == "run":
+            argv += ["--config", str(write(tmp_path, GOOD_CONFIG))]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_verify_reports_toolkit_errors(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InsufficientSamplesError("only 3 effective samples")
+
+        monkeypatch.setattr(cli, "run_suite", fail)
+        assert main(["verify", "--out", str(tmp_path / "o")]) == 2
+        assert "only 3 effective samples" in capsys.readouterr().err
 
 
 class TestReport:

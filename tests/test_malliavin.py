@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from maxbv import malliavin
 from maxbv.cylindrical import catalog_entry, constant_one
 from maxbv.errors import InsufficientSamplesError
 from maxbv.malliavin import (
@@ -14,10 +15,12 @@ from maxbv.malliavin import (
     adjoint2_means,
     chain_max_estimator,
     chain_max_integrated,
+    chain_vs_weak_paired,
     d2m_weak_estimator,
     fd_directional,
     fd_second,
     path_maximum,
+    second_adjoint_batch,
     second_difference_zero_fraction,
     separating_direction,
     sigma_fd_zero_fraction,
@@ -30,6 +33,7 @@ from maxbv.malliavin import (
     verify_grad_max,
 )
 from maxbv.density import lt_zero_closed
+from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import (
     Direction,
     DiscretePath,
@@ -287,6 +291,74 @@ class TestChainIntegratedTables:
             var = max(0.0, (sum2 - n * mean * mean) / (n - 1))
             assert est.mean == mean
             assert est.std_error == math.sqrt(var / n)
+
+
+class TestChainVsWeakPaired:
+    @pytest.mark.parametrize("ident", ["const1", "bump"])
+    @pytest.mark.parametrize("k_label", ["unit", "front-half"])
+    def test_routes_bit_identical_to_separate_estimators(self, ident, k_label):
+        g = constant_one(GRID) if ident == "const1" else catalog_entry(GRID, ident)
+        h = Direction.constant(GRID)
+        k = h if k_label == "unit" else Direction.indicator(GRID, 0.0, 0.5)
+        seed = SeedSpec(5150, 25)
+        weak, chain, diff = chain_vs_weak_paired(
+            g, k, h, GRID, KernelConfig(), 4_000, seed, workers=2
+        )
+        assert weak == d2m_weak_estimator(g, k, h, GRID, 4_000, seed)
+        assert chain == chain_max_integrated(g, k, h, GRID, KernelConfig(), 4_000, seed)
+        assert diff.samples == 4_000
+
+    def test_difference_matches_per_path_reference(self):
+        # 64 substreams of 20 paths, one chunk each: redraw every path and
+        # form the per-path difference weak - chain(b/2) from full tables
+        g = catalog_entry(GRID, "bump")
+        h = Direction.constant(GRID)
+        k = Direction.indicator(GRID, 0.0, 0.5)
+        kcfg = KernelConfig(bandwidth=0.3)
+        seed = SeedSpec(5150, 26)
+        samples, nodes = 1_280, 24
+        weak, chain, diff = chain_vs_weak_paired(
+            g, k, h, GRID, kcfg, samples, seed, nodes=nodes
+        )
+        t_idx = np.unique(np.round((np.arange(nodes) + 0.5) * GRID.n / nodes).astype(int))
+        node_weight = h.density[t_idx] * (GRID.horizon / nodes)
+        kp = k.primitive
+        per_path = []
+        for j in range(64):
+            values = brownian_values_batch(seed.generator(j), samples // 64, GRID)
+            w = values.max(axis=1) * second_adjoint_batch(g, k, h, values)
+            fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
+            delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
+            y = g.value(values)[:, None] * (kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]])
+            per_path.append(w - (y * kcfg.weights(delta, 0.15) * node_weight).sum(axis=1))
+        d = np.concatenate(per_path)
+        assert diff.mean == pytest.approx(d.mean(), rel=1e-9, abs=1e-12)
+        assert diff.std_error == pytest.approx(d.std(ddof=1) / math.sqrt(len(d)), rel=1e-9)
+        assert diff.mean == pytest.approx(weak.mean - chain.estimate_half.mean, abs=1e-12)
+
+    def test_gate_fails_on_a_wrong_pairing(self, monkeypatch):
+        # the chain route for bump against the weak route for const1 on
+        # common paths: two different pairings, which the row must reject
+        spec = ExperimentSpec("chain", "malliavin.chain_vs_weak",
+                              dict(n=200, samples=200_000, nodes=24, g="bump"), 7)
+        (honest,) = run_experiment(spec, 5150).rows
+        assert honest.passed
+        weak_values = malliavin._weak_values
+        monkeypatch.setattr(
+            malliavin, "_weak_values",
+            lambda g, k, h, values: weak_values(constant_one(g.grid), k, h, values),
+        )
+        (wrong,) = run_experiment(spec, 5150).rows
+        assert wrong.passed is False
+        assert wrong.value > 2 * wrong.tolerance
+
+    def test_rows_identical_across_workers(self):
+        spec = ExperimentSpec("chain", "malliavin.chain_vs_weak",
+                              dict(n=200, samples=5_000, nodes=24, g="bump"), 7)
+        one, two = (run_experiment(spec, 5150, workers=w) for w in (1, 2))
+        assert one.rows == two.rows
+        assert one.series == two.series
+        assert one.rows[0].samples == 5_000  # the paired path count
 
 
 class TestSplitGapDensity:

@@ -23,6 +23,7 @@ from maxbv.paths import (
     split_tables,
     top_two_gap,
     wiener_integral,
+    wiener_integral_batch,
 )
 
 
@@ -304,3 +305,38 @@ class TestBatchTables:
         gaps = top_two_gap(np.array([[0.0, 2.0, 2.0, 1.0], [0.0, 3.0, 1.0, 2.0]]))
         assert gaps[0] == 0.0
         assert gaps[1] == 1.0
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_top_two_gap_matches_partition_on_ties(self, data):
+        # tie-heavy rows: values rounded to one decimal on a coarse range
+        n = data.draw(st.integers(1, 12), label="n")
+        rows = data.draw(st.integers(1, 4), label="rows")
+        tails = data.draw(
+            st.lists(
+                st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+                min_size=rows, max_size=rows,
+            ),
+            label="tails",
+        )
+        values = np.round(np.array([[0.0] + tail for tail in tails]), 1)
+        before = values.copy()
+        top2 = np.partition(values, n - 1, axis=1)[:, -2:]
+        assert np.array_equal(top_two_gap(values), top2[:, 1] - top2[:, 0])
+        assert np.array_equal(values, before)  # the input is left untouched
+
+
+class TestWienerIntegralBatch:
+    def test_tuple_form_is_bitwise_the_single_calls(self):
+        grid = TimeGrid(200, 1.0)
+        rng = np.random.default_rng(7)
+        values = np.zeros((64, 201))
+        np.cumsum(rng.standard_normal((64, 200)), axis=1, out=values[:, 1:])
+        unit = Direction.constant(grid)
+        front = Direction.indicator(grid, 0.0, 0.5)
+        directions = (front, unit, Direction.constant(grid), front)
+        together = wiener_integral_batch(directions, values)
+        assert len(together) == 4
+        for d, integral in zip(directions, together):
+            assert np.array_equal(integral, wiener_integral_batch(d, values))
+        assert together[2] is together[1]  # equal densities share one product
