@@ -76,15 +76,16 @@ def load_config(path: Path) -> tuple[dict, list[ExperimentSpec]]:
                 raise ConfigError(f"[{section}]: empty experiment id")
             items = dict(parser.items(section))
             operation = items.pop("operation", None)
+            where = f"experiment:{exp_id}"
             if operation is None:
-                raise ConfigError(f"{exp_id}/operation: required key missing")
+                raise ConfigError(f"{where}/operation: required key missing")
             if operation not in OPERATIONS:
                 known = ", ".join(sorted(OPERATIONS))
                 raise ConfigError(
-                    f"{exp_id}/operation: unknown operation {operation!r} "
+                    f"{where}/operation: unknown operation {operation!r} "
                     f"(known: {known})"
                 )
-            validate_params(OPERATIONS[operation], items, exp_id)  # fail early
+            validate_params(OPERATIONS[operation], items, where)  # fail early
             specs.append(
                 ExperimentSpec(
                     exp_id=exp_id,

@@ -58,8 +58,12 @@ def _ints(text: Any) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Param:
+    """A parameter's parser, its default, and an optional lower bound that
+    every element of a tuple value must meet too."""
+
     cast: Callable[[Any], Any]
     default: Any = _REQUIRED
+    minimum: int | None = None
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,10 @@ def validate_params(op: OpSpec, raw: dict, where: str) -> dict:
                 out[key] = spec.cast(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}/{key}: {exc}") from exc
+            if spec.minimum is not None:
+                values = out[key] if isinstance(out[key], tuple) else (out[key],)
+                if any(v < spec.minimum for v in values):
+                    raise ConfigError(f"{where}/{key}: must be >= {spec.minimum}")
         elif spec.default is _REQUIRED:
             raise ConfigError(f"{where}/{key}: required parameter missing")
         else:
@@ -894,16 +902,27 @@ def _register(name: str, run, **params: Param) -> None:
     OPERATIONS[name] = OpSpec(name=name, params=params, run=run)
 
 
-_register("fluctuation.halfline_exact", _run_halfline_exact, n=Param(_ints))
+_register(
+    "fluctuation.halfline_exact", _run_halfline_exact, n=Param(_ints, minimum=1)
+)
 _register("fluctuation.andersen_series", _run_andersen, order=Param(int, 64))
 _register(
-    "fluctuation.mc_halfline", _run_mc_halfline, n=Param(_ints), samples=Param(int)
+    "fluctuation.mc_halfline",
+    _run_mc_halfline,
+    n=Param(_ints, minimum=1),
+    samples=Param(int, minimum=2),
 )
 _register(
-    "fluctuation.mc_bridge_stay", _run_mc_bridge_stay, n=Param(_ints), samples=Param(int)
+    "fluctuation.mc_bridge_stay",
+    _run_mc_bridge_stay,
+    n=Param(_ints, minimum=2),
+    samples=Param(int, minimum=2),
 )
 _register(
-    "fluctuation.bridge_argmax", _run_bridge_argmax, n=Param(int), samples=Param(int)
+    "fluctuation.bridge_argmax",
+    _run_bridge_argmax,
+    n=Param(int, minimum=2),
+    samples=Param(int, minimum=2),
 )
 _register(
     "perimeter.halfspace",
@@ -917,11 +936,14 @@ _register(
     dim=Param(int, 4),
     offset=Param(float, 0.0),
     eps=Param(float, 0.01),
-    samples=Param(int),
+    samples=Param(int, minimum=2),
     slack=Param(float, 1e-4),
 )
 _register(
-    "perimeter.bridge", _run_perimeter_bridge, n=Param(_ints), samples=Param(int)
+    "perimeter.bridge",
+    _run_perimeter_bridge,
+    n=Param(_ints, minimum=2),
+    samples=Param(int, minimum=2),
 )
 _register(
     "perimeter.offband",
@@ -929,30 +951,30 @@ _register(
     dim=Param(int, 4),
     eps=Param(float),
     band=Param(float),
-    samples=Param(int),
+    samples=Param(int, minimum=2),
 )
 _register("perimeter.corollary_bounds", _run_corollary_bounds, max_n=Param(int, 64))
 _register(
     "malliavin.grad_max",
     _run_grad_max,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 1000),
+    samples=Param(int, 1000, minimum=2),
     eps=Param(float, 1e-5),
     tolerance=Param(float, 1e-6),
 )
 _register(
     "malliavin.second_diff",
     _run_second_diff,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 1000),
+    samples=Param(int, 1000, minimum=2),
     eps=Param(float, 1e-3),
 )
 _register(
     "malliavin.tied_peak",
     _run_tied_peak,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=4),
     horizon=Param(float, 1.0),
     eps=Param(float, 1e-3),
     halvings=Param(int, 2),
@@ -960,33 +982,33 @@ _register(
 _register(
     "malliavin.adjoint2_zero",
     _run_adjoint2_zero,
-    n=Param(int, 256),
+    n=Param(int, 256, minimum=2),
     horizon=Param(float, 1.0),
-    samples=Param(int, 100000),
+    samples=Param(int, 100000, minimum=2),
 )
 _register(
     "malliavin.weak_symmetry",
     _run_weak_symmetry,
-    n=Param(int, 500),
+    n=Param(int, 500, minimum=2),
     horizon=Param(float, 1.0),
-    samples=Param(int, 200000),
+    samples=Param(int, 200000, minimum=2),
     g=Param(str, "bump"),
 )
 _register(
     "malliavin.chain_vs_weak",
     _run_chain_vs_weak,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
-    samples=Param(int, 1000000),
+    samples=Param(int, 1000000, minimum=2),
     nodes=Param(int, 24),
     g=Param(str, "const1"),
 )
 _register(
     "malliavin.sigma_flat",
     _run_sigma_flat,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 1000),
+    samples=Param(int, 1000, minimum=2),
     eps=Param(float, 1e-6),
 )
 _register(
@@ -998,67 +1020,67 @@ _register(
 _register(
     "density.lt_zero_mc",
     _run_lt_zero_mc,
-    n=Param(int, 2000),
+    n=Param(int, 2000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),
-    samples=Param(int, 1000000),
+    samples=Param(int, 1000000, minimum=2),
 )
 _register(
     "density.tv_bound",
     _run_tv_bound,
-    n=Param(_ints, (100, 1000, 2000)),
+    n=Param(_ints, (100, 1000, 2000), minimum=3),
     horizon=Param(float, 1.0),
 )
 _register("density.limit_integral", _run_limit_integral)
-_register("density.riemann", _run_riemann, n=Param(int, 2000))
+_register("density.riemann", _run_riemann, n=Param(int, 2000, minimum=3))
 _register(
     "density.asymptote",
     _run_asymptote,
-    n=Param(_ints, (10, 100, 1000)),
+    n=Param(_ints, (10, 100, 1000), minimum=1),
     bounds=Param(_floats, (0.03, 0.003, 0.0003)),
 )
 _register("density.curve_mass", _run_density_mass, lengths=Param(_floats, (0.5, 1.0, 4.0)))
 _register(
     "concentration.unique_max",
     _run_unique_max,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 1000000),
+    samples=Param(int, 1000000, minimum=2),
 )
 _register(
     "concentration.excess_ladder",
     _run_excess_ladder,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),
     eps=Param(float, 0.01),
     deltas=Param(_floats, (0.2, 0.1, 0.05, 0.025)),
-    samples=Param(int, 1000000),
+    samples=Param(int, 1000000, minimum=2),
 )
 _register(
     "concentration.double_max_ladder",
     _run_double_max_ladder,
-    n=Param(int, 1000),
+    n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),
     epss=Param(_floats, (0.08, 0.3, 1e9)),
     delta=Param(float, 0.05),
-    samples=Param(int, 1000000),
+    samples=Param(int, 1000000, minimum=2),
 )
 _register(
     "sampling.moments",
     _run_sampler_moments,
-    n=Param(int, 10),
-    brownian_n=Param(int, 1000),
+    n=Param(int, 10, minimum=1),
+    brownian_n=Param(int, 1000, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 100000),
+    samples=Param(int, 100000, minimum=2),
 )
 _register(
     "sampling.worker_invariance",
     _run_worker_invariance,
-    n=Param(int, 10),
+    n=Param(int, 10, minimum=1),
     horizon=Param(float, 1.0),
-    samples=Param(int, 100000),
+    samples=Param(int, 100000, minimum=2),
 )
 
 
@@ -1076,7 +1098,7 @@ def run_experiment(
     spec: ExperimentSpec, master_seed: int, workers: int = 1
 ) -> ExperimentResult:
     op = OPERATIONS[spec.operation]
-    params = validate_params(op, spec.params, spec.exp_id)
+    params = validate_params(op, spec.params, f"experiment:{spec.exp_id}")
     seed = SeedSpec(master_seed, spec.stream)
     fingerprint = stable_fingerprint(
         {

@@ -12,6 +12,7 @@ differences.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -151,8 +152,12 @@ def bridge_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarra
 def brownian_values_batch(
     rng: np.random.Generator, count: int, grid: TimeGrid
 ) -> np.ndarray:
-    """(count, n+1) array of Brownian node values on the grid."""
-    return np.sqrt(grid.step) * walk_sums_batch(rng, count, grid.n)
+    """(count, n+1) array of Brownian node values on the grid: the walk's
+    partial sums scaled by sqrt(step) in place, bit-identical to
+    ``np.sqrt(grid.step) * walk_sums_batch(...)`` without its temporary."""
+    out = walk_sums_batch(rng, count, grid.n)
+    out *= math.sqrt(grid.step)
+    return out
 
 
 # ---------------------------------------------------------------------------

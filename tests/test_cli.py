@@ -199,6 +199,46 @@ class TestBadRunOptions:
         assert "only 3 effective samples" in capsys.readouterr().err
 
 
+class TestBadExperimentParams:
+    """Out-of-range experiment parameters exit 2 and name their field path;
+    a tuple parameter is checked element by element."""
+
+    @pytest.mark.parametrize("operation, n, n_minimum", [
+        ("concentration.unique_max", "50", 1),
+        ("fluctuation.mc_bridge_stay", "2,5", 2),
+    ])
+    @pytest.mark.parametrize("key, value", [
+        ("n", "0"), ("samples", "0"), ("samples", "1"),
+    ])
+    def test_below_minimum(
+        self, tmp_path, capsys, operation, n, n_minimum, key, value
+    ):
+        params = {"n": n, "samples": "2000", key: value}
+        config = write(tmp_path, f"""
+[experiment:edge]
+operation = {operation}
+n = {params["n"]}
+samples = {params["samples"]}
+""")
+        minimum = n_minimum if key == "n" else 2
+        message = f"experiment:edge/{key}: must be >= {minimum}"
+        with pytest.raises(ConfigError, match=message):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_tuple_checked_per_element(self, tmp_path):
+        config = write(tmp_path, """
+[experiment:edge]
+operation = fluctuation.mc_bridge_stay
+n = 2,1,10
+samples = 2000
+""")
+        with pytest.raises(ConfigError, match="experiment:edge/n: must be >= 2"):
+            load_config(config)
+
+
 class TestReport:
     def _run_twice(self, tmp_path):
         config = write(tmp_path, GOOD_CONFIG)

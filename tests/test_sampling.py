@@ -9,6 +9,7 @@ from maxbv.sampling import (
     MCEstimate,
     SeedSpec,
     bridge_sums_batch,
+    brownian_values_batch,
     mc_collect,
     mc_run,
     mc_run_many,
@@ -70,6 +71,16 @@ class TestBrownian:
         path = sample_brownian(grid, SEED)
         walk = sample_walk(64, SEED)
         assert np.array_equal(path.values, np.sqrt(grid.step) * walk.partial_sums)
+
+    @pytest.mark.parametrize("horizon", [1.0, 2.0, 0.3])
+    def test_batch_scaled_in_place_bitwise(self, horizon):
+        grid = TimeGrid(1000, horizon)
+        for stream in range(3):
+            seed = SeedSpec(31, stream)
+            got = brownian_values_batch(seed.generator(), 1024, grid)
+            ref = np.sqrt(grid.step) * walk_sums_batch(seed.generator(), 1024, grid.n)
+            assert got.shape == (1024, 1001)
+            assert got.tobytes() == ref.tobytes()
 
     def test_terminal_variance(self):
         grid = TimeGrid(100, 4.0)
