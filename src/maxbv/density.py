@@ -5,6 +5,7 @@ running maximum, and its limiting singular integral.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -14,13 +15,88 @@ from .errors import QuadratureError
 from .fluctuation import halfline_prob_float
 from .perimeter import HALFSPACE_PERIMETER
 
+# 15-point Kronrod nodes on [-1, 1] (positive half, centre last) with their
+# weights, and the weights of the embedded 7-point Gauss rule, whose nodes are
+# the odd-indexed Kronrod nodes (QUADPACK's QK15).
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
 
-def _quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use so that importing
-    maxbv does not load scipy."""
-    from scipy import integrate
 
-    return integrate.quad(*args, **kwargs)
+def _gk15(f, a: float, b: float) -> tuple[float, float]:
+    """Kronrod estimate of int_a^b f and its error bound |K15 - G7|."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(centre)
+    kronrod = _WGK[7] * fc
+    gauss = _WG[3] * fc
+    for j in range(7):
+        dx = half * _XGK[j]
+        pair = f(centre - dx) + f(centre + dx)
+        kronrod += _WGK[j] * pair
+        if j % 2:
+            gauss += _WG[j // 2] * pair
+    return kronrod * half, abs(kronrod - gauss) * half
+
+
+def _quad(f, a: float, b: float, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """Adaptive Gauss-Kronrod quadrature of f over [a, b] (b may be inf).
+
+    The interval with the largest error is bisected until the summed error
+    estimate is within max(epsabs, epsrel*|value|) or ``limit`` intervals
+    exist.  [a, inf) is mapped to [0, 1) by y = a + u/(1-u).  Returns
+    (value, error estimate); the estimate sums |K15 - G7| over the
+    intervals.
+    """
+    if b == math.inf:
+        g, origin = f, a
+
+        def f(u: float) -> float:
+            return g(origin + u / (1.0 - u)) / (1.0 - u) ** 2
+
+        a, b = 0.0, 1.0
+    value, err = _gk15(f, a, b)
+    heap = [(-err, a, b, value)]
+    total, total_err = value, err
+    while len(heap) < limit and total_err > max(epsabs, epsrel * abs(total)):
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            heapq.heappush(heap, (neg_err, lo, hi, val))
+            break
+        left, left_err = _gk15(f, lo, mid)
+        right, right_err = _gk15(f, mid, hi)
+        heapq.heappush(heap, (-left_err, lo, mid, left))
+        heapq.heappush(heap, (-right_err, mid, hi, right))
+        total += left + right - val
+        total_err += left_err + right_err + neg_err
+    return (
+        math.fsum(item[3] for item in heap),
+        math.fsum(-item[0] for item in heap),
+    )
 
 
 def segment_max_density(y: float, length: float) -> float:

@@ -68,9 +68,14 @@ class Param:
 
 @dataclass(frozen=True)
 class OpSpec:
+    """An operation: its parameter schema, its runner, and an optional check
+    of parameters that are valid alone but not together, which returns the
+    offending field and the reason, or None."""
+
     name: str
     params: dict[str, Param]
     run: Callable[[dict, SeedSpec, int], ExperimentResult]
+    coupled: Callable[[dict], tuple[str, str] | None] | None = None
 
 
 def validate_params(op: OpSpec, raw: dict, where: str) -> dict:
@@ -92,7 +97,37 @@ def validate_params(op: OpSpec, raw: dict, where: str) -> dict:
             raise ConfigError(f"{where}/{key}: required parameter missing")
         else:
             out[key] = spec.default
+    problem = op.coupled(out) if op.coupled is not None else None
+    if problem is not None:
+        key, reason = problem
+        raise ConfigError(f"{where}/{key}: {reason}")
     return out
+
+
+def _split_index(p: dict) -> int:
+    """The grid node of the split time ``t_frac`` of an n-step grid."""
+    return round(p["t_frac"] * p["n"])
+
+
+def _interior_split(p: dict) -> tuple[str, str] | None:
+    t = _split_index(p)
+    if not 0 < t < p["n"]:
+        return "t_frac", f"round(t_frac * n) = {t} is not an interior node 1..{p['n'] - 1}"
+    return None
+
+
+def _distinct_split_nodes(p: dict) -> tuple[str, str] | None:
+    try:
+        malliavin.split_nodes(p["n"], p["nodes"])
+    except ValueError as exc:
+        return "n", str(exc)
+    return None
+
+
+def _two_distinct_n(p: dict) -> tuple[str, str] | None:
+    if len(set(p["n"])) < 2:
+        return "n", "needs at least two distinct values"
+    return None
 
 
 def _row(check: str, value, **kw) -> ResultRow:
@@ -511,7 +546,7 @@ def _run_lt_zero(p, seed, workers):
 
 def _run_lt_zero_mc(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
-    t_index = round(p["t_frac"] * grid.n)
+    t_index = _split_index(p)
     kde = malliavin.split_gap_density_mc(
         t_index, grid, malliavin.KernelConfig(), p["samples"], seed, workers=workers
     )
@@ -736,7 +771,7 @@ def _run_unique_max(p, seed, workers):
 def _run_excess_ladder(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     scale = math.sqrt(p["horizon"])
-    t_index = round(p["t_frac"] * grid.n)
+    t_index = _split_index(p)
     deltas = [d * scale for d in p["deltas"]]
     ests = conc.excess_conditional_ladder(
         t_index, p["eps"] * scale, deltas, grid, p["samples"], seed, workers=workers
@@ -763,7 +798,7 @@ def _run_excess_ladder(p, seed, workers):
 def _run_double_max_ladder(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     scale = math.sqrt(p["horizon"])
-    t_index = round(p["t_frac"] * grid.n)
+    t_index = _split_index(p)
     epss = [e * scale if e < 1e8 else e for e in p["epss"]]
     summaries = conc.double_max_ladder(
         t_index, epss, p["delta"] * scale, grid, p["samples"], seed, workers=workers
@@ -823,8 +858,6 @@ def _run_double_max_ladder(p, seed, workers):
 # ---------------------------------------------------------------------------
 
 def _run_sampler_moments(p, seed, workers):
-    from scipy import special
-
     n, samples = p["n"], p["samples"]
     res = ExperimentResult()
     est = mc_run(lambda rng, c: rng.standard_normal(c), samples, seed, workers=workers)
@@ -845,7 +878,7 @@ def _run_sampler_moments(p, seed, workers):
 
     variance, reflection = mc_run_many(brownian_rows, samples, seed, workers=workers)
     res.rows.append(_mc_row("terminal-variance", variance, p["horizon"]))
-    ref = float(2.0 * special.ndtr(-0.5))  # 2 P(W_T > a) at a = sqrt(T)/2
+    ref = math.erfc(0.5 / math.sqrt(2.0))  # 2 P(W_T > a) at a = sqrt(T)/2
     res.rows.append(_mc_row("reflection-principle", reflection, ref, slack=0.02))
     return res
 
@@ -898,8 +931,8 @@ def _run_worker_invariance(p, seed, workers):
 OPERATIONS: dict[str, OpSpec] = {}
 
 
-def _register(name: str, run, **params: Param) -> None:
-    OPERATIONS[name] = OpSpec(name=name, params=params, run=run)
+def _register(name: str, run, coupled=None, **params: Param) -> None:
+    OPERATIONS[name] = OpSpec(name=name, params=params, run=run, coupled=coupled)
 
 
 _register(
@@ -997,10 +1030,11 @@ _register(
 _register(
     "malliavin.chain_vs_weak",
     _run_chain_vs_weak,
+    coupled=_distinct_split_nodes,
     n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
     samples=Param(int, 1000000, minimum=2),
-    nodes=Param(int, 24),
+    nodes=Param(int, 24, minimum=1),
     g=Param(str, "const1"),
 )
 _register(
@@ -1020,6 +1054,7 @@ _register(
 _register(
     "density.lt_zero_mc",
     _run_lt_zero_mc,
+    coupled=_interior_split,
     n=Param(int, 2000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),
@@ -1028,6 +1063,7 @@ _register(
 _register(
     "density.tv_bound",
     _run_tv_bound,
+    coupled=_two_distinct_n,
     n=Param(_ints, (100, 1000, 2000), minimum=3),
     horizon=Param(float, 1.0),
 )
@@ -1050,6 +1086,7 @@ _register(
 _register(
     "concentration.excess_ladder",
     _run_excess_ladder,
+    coupled=_interior_split,
     n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),
@@ -1060,6 +1097,7 @@ _register(
 _register(
     "concentration.double_max_ladder",
     _run_double_max_ladder,
+    coupled=_interior_split,
     n=Param(int, 1000, minimum=2),
     horizon=Param(float, 1.0),
     t_frac=Param(float, 0.5),

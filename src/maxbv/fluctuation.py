@@ -121,9 +121,45 @@ def mc_bridge_stay_prob(
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
         sums = bridge_sums_batch(rng, count, n)
-        return (sums[:, 1:n].max(axis=1) <= 0.0).astype(float)
+        return (sums[:, : n - 1].max(axis=1) <= 0.0).astype(float)
 
     return mc_run(statistic, samples, seed, workers=workers)
+
+
+def chi_square_sf(df: int, x: float) -> float:
+    """P(chi-square with df degrees of freedom > x): the regularized upper
+    incomplete gamma Q(df/2, x/2), by its power series (as 1 - P) below
+    a + 1 and by the modified Lentz continued fraction above it."""
+    a, y = 0.5 * df, 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(y) - y - math.lgamma(a))
+    eps, tiny = 1e-16, 1e-300
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while abs(term) > eps * total:
+            ap += 1.0
+            term *= y / ap
+            total += term
+        return 1.0 - front * total
+    b = y + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= eps:
+            return front * h
 
 
 @dataclass(frozen=True)
@@ -142,6 +178,24 @@ class ArgmaxHistogram:
         return list(enumerate(self.counts))
 
 
+def _argmax_census(sums: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-position counts of the argmax of W_0..W_{n-1} and the number of
+    rows whose maximum is attained more than once, from bridge sums
+    W_1..W_n (overwritten).
+
+    W_n = W_0 = 0, so the row is W_0..W_{n-1} rotated by one: argmax j maps
+    to position (j + 1) % n.  On a tie row the position may differ from the
+    first argmax of W_0..W_{n-1}; those rows are the counted ties.
+    """
+    count, n = sums.shape
+    rows = np.arange(count)
+    arg = sums.argmax(axis=1)
+    m = sums[rows, arg]
+    sums[rows, arg] = -np.inf
+    ties = int((sums.max(axis=1) == m).sum())
+    return np.bincount((arg + 1) % n, minlength=n), ties
+
+
 def bridge_argmax_histogram(
     n: int, samples: int, seed: SeedSpec, *, workers: int = 1
 ) -> ArgmaxHistogram:
@@ -156,12 +210,7 @@ def bridge_argmax_histogram(
         raise ValueError("n must be at least 2")
 
     def task(rng: np.random.Generator, count: int):
-        sums = bridge_sums_batch(rng, count, n)
-        head = sums[:, :n]
-        arg = head.argmax(axis=1)  # first occurrence
-        m = head.max(axis=1)
-        ties = int(((head == m[:, None]).sum(axis=1) > 1).sum())
-        return np.bincount(arg, minlength=n), ties
+        return _argmax_census(bridge_sums_batch(rng, count, n))
 
     def combine(a, b):
         return a[0] + b[0], a[1] + b[1]
@@ -169,9 +218,7 @@ def bridge_argmax_histogram(
     counts, ties = mc_collect(task, samples, seed, combine=combine, workers=workers)
     expected = samples / n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    from scipy import special
-
-    p_value = float(special.chdtrc(n - 1, chi2))  # the chi-square survival function
+    p_value = chi_square_sf(n - 1, chi2)
     return ArgmaxHistogram(
         n=n,
         counts=tuple(int(c) for c in counts),

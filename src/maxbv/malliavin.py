@@ -568,6 +568,18 @@ def _two_moment_estimates(acc: np.ndarray, seed: SeedSpec):
     )
 
 
+def split_nodes(n: int, nodes: int) -> np.ndarray:
+    """The split nodes of the integrated route: the interior grid indices
+    nearest the midpoints of ``nodes`` equal cells of [0, n], which must be
+    distinct."""
+    t_idx = np.unique(
+        np.clip(np.round((np.arange(nodes) + 0.5) * n / nodes).astype(int), 1, n - 1)
+    )
+    if len(t_idx) < nodes:
+        raise ValueError(f"grid too coarse for {nodes} distinct interior nodes")
+    return t_idx
+
+
 @dataclass(frozen=True)
 class _SplitQuadrature:
     """The integrated split-point route of :func:`chain_max_integrated`:
@@ -583,12 +595,7 @@ class _SplitQuadrature:
 
     @classmethod
     def build(cls, g, k, h, grid, kcfg, samples, seed, nodes) -> _SplitQuadrature:
-        n, horizon = grid.n, grid.horizon
-        t_idx = np.unique(
-            np.clip(np.round((np.arange(nodes) + 0.5) * n / nodes).astype(int), 1, n - 1)
-        )
-        if len(t_idx) < nodes:
-            raise ValueError(f"grid too coarse for {nodes} distinct interior nodes")
+        t_idx = split_nodes(grid.n, nodes)
         b = kcfg.bandwidth
         if b is None:
             mid = int(t_idx[len(t_idx) // 2])
@@ -598,7 +605,7 @@ class _SplitQuadrature:
                 return max_r - max_l
 
             b = _auto_bandwidth(mid_deltas, grid, samples, seed)
-        node_weight = h.density[t_idx] * (horizon / nodes)
+        node_weight = h.density[t_idx] * (grid.horizon / nodes)
         return cls(g, k, kcfg, t_idx, node_weight, b)
 
     def per_path(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

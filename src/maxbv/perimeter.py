@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .fluctuation import halfline_prob_exact
-from .sampling import MCEstimate, SeedSpec, bridge_sums_batch, mc_collect, mc_run
+from .fluctuation import halfline_prob_exact, mc_bridge_stay_prob
+from .sampling import MCEstimate, SeedSpec, mc_collect, mc_run
 
 #: Gaussian perimeter of a halfspace through the origin, phi(0).
 HALFSPACE_PERIMETER = 1.0 / math.sqrt(2.0 * math.pi)
@@ -138,14 +138,7 @@ def restricted_perimeter_bridge(
     of the bridge, so the restricted mass equals phi(0) times the bridge
     stay-below probability; its exact value is (2*pi)^(-1/2)/n.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-
-    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        sums = bridge_sums_batch(rng, count, n)
-        return (sums[:, 1:n].max(axis=1) <= 0.0).astype(float)
-
-    est = mc_run(statistic, samples, seed, workers=workers)
+    est = mc_bridge_stay_prob(n, samples, seed, workers=workers)
     return SurfaceMeasureEstimate(
         value=HALFSPACE_PERIMETER * est.mean,
         method="bridge-MC",

@@ -139,14 +139,13 @@ def walk_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 
 def bridge_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, n+1) array of bridge partial sums, last column exactly 0."""
+    """(count, n) array of bridge partial sums W_1..W_n, summed in place in
+    the draw buffer; the last column is exactly 0 (= W_0, left out)."""
     x = rng.standard_normal((count, n))
     x -= x.mean(axis=1, keepdims=True)
-    out = np.empty((count, n + 1))
-    out[:, 0] = 0.0
-    np.cumsum(x, axis=1, out=out[:, 1:])
-    out[:, -1] = 0.0
-    return out
+    np.cumsum(x, axis=1, out=x)
+    x[:, -1] = 0.0
+    return x
 
 
 def brownian_values_batch(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -120,8 +121,7 @@ class TestRun:
         assert "FAIL" in printed and "stay-below-n10" in printed
 
     def test_chain_run_does_not_import_scipy(self, tmp_path):
-        # scipy costs about a second of start-up; only the quadrature rows,
-        # bridge_argmax and the reflection reference may load it
+        # scipy is a test dependency only: a run must not load it
         config = write(tmp_path, """
 [run]
 seed = 7
@@ -139,24 +139,59 @@ n = 64
 samples = 2000
 """)
         out = tmp_path / "out"
-        script = (
-            "import sys\n"
-            "import maxbv.cli\n"
-            f"code = maxbv.cli.main(['run', '--config', {str(config)!r}, "
-            f"'--out', {str(out)!r}])\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "sys.exit(code)\n"
-        )
-        src = str(Path(maxbv.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True,
-            text=True, timeout=300,
-        )
-        assert proc.returncode in (0, 1), proc.stderr
+        assert _scipy_modules_after_run(config, out) == "[]"
         assert (out / "chain.csv").exists() and (out / "adjoint2.csv").exists()
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_quadrature_and_pvalue_run_does_not_import_scipy(self, tmp_path):
+        # the quadrature rows, the chi-square p-value and the reflection
+        # reference are computed in-house
+        config = write(tmp_path, """
+[run]
+seed = 7
+workers = 1
+
+[experiment:lt-zero]
+operation = density.lt_zero
+
+[experiment:limit]
+operation = density.limit_integral
+
+[experiment:argmax]
+operation = fluctuation.bridge_argmax
+n = 10
+samples = 2000
+
+[experiment:moments]
+operation = sampling.moments
+brownian_n = 50
+samples = 2000
+""")
+        out = tmp_path / "out"
+        assert _scipy_modules_after_run(config, out) == "[]"
+        for exp_id in ("lt-zero", "limit", "argmax", "moments"):
+            assert (out / f"{exp_id}.csv").exists()
+
+
+def _scipy_modules_after_run(config: Path, out: Path) -> str:
+    """Run ``maxbv run`` in a fresh interpreter and return the printed list of
+    the scipy modules it loaded."""
+    script = (
+        "import sys\n"
+        "import maxbv.cli\n"
+        f"code = maxbv.cli.main(['run', '--config', {str(config)!r}, "
+        f"'--out', {str(out)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(maxbv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
 
 class TestBadRunOptions:
@@ -237,6 +272,31 @@ samples = 2000
 """)
         with pytest.raises(ConfigError, match="experiment:edge/n: must be >= 2"):
             load_config(config)
+
+    @pytest.mark.parametrize("body, message", [
+        ("operation = malliavin.chain_vs_weak\nn = 20\nsamples = 2000",
+         "experiment:edge/n: grid too coarse for 24 distinct interior nodes"),
+        ("operation = malliavin.chain_vs_weak\nn = 200\nnodes = 0\nsamples = 2000",
+         "experiment:edge/nodes: must be >= 1"),
+        ("operation = density.tv_bound\nn = 100",
+         "experiment:edge/n: needs at least two distinct values"),
+        ("operation = density.tv_bound\nn = 100,100",
+         "experiment:edge/n: needs at least two distinct values"),
+        ("operation = concentration.excess_ladder\nn = 10\nt_frac = 0.02\nsamples = 2000",
+         "experiment:edge/t_frac: round(t_frac * n) = 0 is not an interior node"),
+        ("operation = concentration.double_max_ladder\nn = 10\nt_frac = 0.97\nsamples = 2000",
+         "experiment:edge/t_frac: round(t_frac * n) = 10 is not an interior node"),
+        ("operation = density.lt_zero_mc\nn = 4\nt_frac = 1.5\nsamples = 2000",
+         "experiment:edge/t_frac: round(t_frac * n) = 6 is not an interior node"),
+    ])
+    def test_coupled_parameters(self, tmp_path, capsys, body, message):
+        # each value passes its own range check; together they cannot run
+        config = write(tmp_path, f"[experiment:edge]\n{body}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestReport:

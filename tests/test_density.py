@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from maxbv.density import (
+    _quad,
     asymptotic_match,
     inner_arcsine_integral,
     limit_integral,
@@ -68,6 +69,47 @@ class TestSplitDensity:
             lt_zero(0.0, 1.0)
         with pytest.raises(ValueError):
             lt_zero(1.0, 1.0)
+
+
+class TestQuadrature:
+    """The in-house Gauss-Kronrod rule against QUADPACK, on the integrands
+    of the quadrature rows."""
+
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.5, 0.75])
+    def test_lt_zero_integrand(self, t):
+        def f(y):
+            return segment_max_density(y, 1.0 - t) * segment_max_density(y, t)
+
+        kw = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        value, err = _quad(f, 0.0, np.inf, **kw)
+        ref, _ = integrate.quad(f, 0.0, np.inf, **kw)
+        assert abs(value - ref) <= 1e-12
+        assert err <= 1e-10
+        assert value == lt_zero(t, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
+    def test_inner_arcsine_integrand(self, t):
+        # the square-root substituted halves of inner_arcsine_integral
+        def f(v):
+            return 2.0 / math.sqrt(1.0 - t - v * v)
+
+        upper = math.sqrt(0.5 * (1.0 - t))
+        value, err = _quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-12)
+        ref, _ = integrate.quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-12)
+        assert abs(value - ref) <= 1e-12
+        assert err <= 1e-10
+        assert abs(inner_arcsine_integral(t) - 2.0 * ref) <= 1e-12
+
+    def test_error_estimate_bounds_true_error(self):
+        # one interval, no bisection: the sqrt endpoint singularity leaves a
+        # visible error, which the estimate must cover
+        value, err = _quad(math.sqrt, 0.0, 1.0, limit=1)
+        assert 0.0 < abs(value - 2.0 / 3.0) <= err
+
+    def test_bisection_reaches_tolerance(self):
+        value, err = _quad(math.sqrt, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+        assert err <= 1e-10
+        assert abs(value - 2.0 / 3.0) <= 1e-10
 
 
 class TestTVBound:

@@ -2,19 +2,23 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy import special
 
 from maxbv.fluctuation import (
+    _argmax_census,
     andersen_series_check,
     bridge_argmax_histogram,
     bridge_stay_prob_exact,
+    chi_square_sf,
     halfline_prob_exact,
     halfline_prob_float,
     mc_bridge_stay_prob,
     mc_halfline_prob,
     rational_str,
 )
-from maxbv.sampling import SeedSpec
+from maxbv.sampling import SeedSpec, mc_collect, mc_run
 
 SEED = SeedSpec(424242, 0)
 
@@ -99,3 +103,70 @@ class TestArgmaxHistogram:
         rows = hist.rows()
         assert len(rows) == 4
         assert rows[0][0] == 0
+
+    def test_counts_and_ties_match_origin_layout(self):
+        # reference: the census of W_0..W_{n-1} on the (count, n+1) layout
+        n, samples = 20, 30_000
+
+        def task(rng, count):
+            x = rng.standard_normal((count, n))
+            x -= x.mean(axis=1, keepdims=True)
+            sums = np.empty((count, n + 1))
+            sums[:, 0] = 0.0
+            np.cumsum(x, axis=1, out=sums[:, 1:])
+            sums[:, -1] = 0.0
+            head = sums[:, :n]
+            m = head.max(axis=1)
+            ties = int(((head == m[:, None]).sum(axis=1) > 1).sum())
+            return np.bincount(head.argmax(axis=1), minlength=n), ties
+
+        ref_counts, ref_ties = mc_collect(
+            task, samples, SEED, combine=lambda a, b: (a[0] + b[0], a[1] + b[1])
+        )
+        for workers in (1, 2):
+            hist = bridge_argmax_histogram(n, samples, SEED, workers=workers)
+            assert hist.counts == tuple(int(c) for c in ref_counts)
+            assert hist.ties == ref_ties
+
+    def test_census_on_tie_rows(self):
+        # rounding the sums makes ties common; the tie count equals the
+        # compare-and-sum count on W_0..W_{n-1}, and rows without a tie keep
+        # the position of their first argmax
+        rng = SeedSpec(5, 2).generator()
+        n = 6
+        origin = np.zeros((2000, n + 1))
+        origin[:, 1:n] = np.round(rng.standard_normal((2000, n - 1)), 0)
+        head = origin[:, :n]
+        m = head.max(axis=1)
+        tied = (head == m[:, None]).sum(axis=1) > 1
+        assert 0 < tied.sum() < 2000
+        sums = origin[:, 1:].copy()
+        counts, ties = _argmax_census(sums)
+        assert ties == int(tied.sum())
+        untied = np.bincount(head[~tied].argmax(axis=1), minlength=n)
+        clean, _ = _argmax_census(origin[~tied, 1:].copy())
+        assert (clean == untied).all()
+        assert counts.sum() == 2000
+
+
+class TestStayBelowLayout:
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_matches_origin_layout_statistic(self, n):
+        def statistic(rng, count):
+            x = rng.standard_normal((count, n))
+            x -= x.mean(axis=1, keepdims=True)
+            sums = np.concatenate((np.zeros((count, 1)), np.cumsum(x, axis=1)), axis=1)
+            return (sums[:, 1:n].max(axis=1) <= 0.0).astype(float)
+
+        assert mc_bridge_stay_prob(n, 5_000, SEED) == mc_run(statistic, 5_000, SEED)
+
+
+class TestChiSquareSurvival:
+    def test_matches_scipy(self):
+        for df in range(1, 200):
+            for x in (0.01 * df, 0.5 * df, df, 2.0 * df, 5.0 * df):
+                ref = special.chdtrc(df, x)
+                assert chi_square_sf(df, x) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_zero_statistic(self):
+        assert chi_square_sf(7, 0.0) == 1.0

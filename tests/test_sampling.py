@@ -107,7 +107,27 @@ class TestBrownian:
         assert est.within(ref, slack=0.02)
 
 
+def _bridge_sums_with_origin(rng, count, n):
+    """The earlier (count, n+1) bridge layout W_0..W_n, kept as the oracle."""
+    x = rng.standard_normal((count, n))
+    x -= x.mean(axis=1, keepdims=True)
+    out = np.empty((count, n + 1))
+    out[:, 0] = 0.0
+    np.cumsum(x, axis=1, out=out[:, 1:])
+    out[:, -1] = 0.0
+    return out
+
+
 class TestBridge:
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 100])
+    def test_batch_is_origin_layout_without_w0(self, n):
+        for seed in (SeedSpec(1, 0), SeedSpec(2, 3), SeedSpec(777, 5)):
+            got = bridge_sums_batch(seed.generator(), 257, n)
+            ref = _bridge_sums_with_origin(seed.generator(), 257, n)[:, 1:]
+            assert got.shape == (257, n)
+            assert got.tobytes() == ref.tobytes()
+            assert (got[:, -1] == 0.0).all()
+
     def test_endpoint_exact_zero_and_consistency(self):
         for n in (1, 2, 17):
             b = sample_bridge(n, SEED)
@@ -129,8 +149,8 @@ class TestBridge:
         n, j, k = 10, 3, 7
 
         def statistic(rng, c):
-            sums = bridge_sums_batch(rng, c, n)
-            return sums[:, j] * sums[:, k]
+            sums = bridge_sums_batch(rng, c, n)  # W_1..W_n
+            return sums[:, j - 1] * sums[:, k - 1]
 
         est = mc_run(statistic, 200_000, SEED)
         assert est.within(min(j, k) - j * k / n)
@@ -141,7 +161,7 @@ class TestBridge:
         # coordinate matches across positions statistically
         def statistic(rng, c):
             sums = bridge_sums_batch(rng, c, 8)
-            inc = np.diff(sums, axis=1)
+            inc = np.diff(sums, axis=1, prepend=0.0)
             return inc[:, 0] ** 2 - inc[:, 5] ** 2
 
         est = mc_run(statistic, 100_000, SEED)
