@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, MaxBVError
 from .experiments import (
@@ -180,6 +182,9 @@ def _write_outputs(
         "tool": "maxbv",
         "version": __version__,
         "rng": RNG_ALGORITHM,
+        # streams are reproducible only on the same numpy build (NEP 19)
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
         "master_seed": master_seed,
         "workers": workers,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

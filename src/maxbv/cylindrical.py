@@ -177,9 +177,6 @@ class CylindricalFunction:
         kp = k.primitive[list(self.indices)]
         return np.einsum("...jk,j,k->...", self.outer.hess(pts), kp, hp)
 
-    def on_path(self, path: DiscretePath) -> float:
-        return float(self.value(path.values))
-
 
 def adjoint_apply(
     g: CylindricalFunction, h: Direction, path: DiscretePath

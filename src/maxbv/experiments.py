@@ -58,12 +58,14 @@ def _ints(text: Any) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Param:
-    """A parameter's parser, its default, and an optional lower bound that
-    every element of a tuple value must meet too."""
+    """A parameter's parser, its default, and optional range checks that
+    every element of a tuple value must meet too: an integer lower bound,
+    or ``positive`` for a float that must be > 0 (which rejects NaN)."""
 
     cast: Callable[[Any], Any]
     default: Any = _REQUIRED
     minimum: int | None = None
+    positive: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,11 @@ def validate_params(op: OpSpec, raw: dict, where: str) -> dict:
                 out[key] = spec.cast(raw[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}/{key}: {exc}") from exc
-            if spec.minimum is not None:
-                values = out[key] if isinstance(out[key], tuple) else (out[key],)
-                if any(v < spec.minimum for v in values):
-                    raise ConfigError(f"{where}/{key}: must be >= {spec.minimum}")
+            values = out[key] if isinstance(out[key], tuple) else (out[key],)
+            if spec.minimum is not None and any(v < spec.minimum for v in values):
+                raise ConfigError(f"{where}/{key}: must be >= {spec.minimum}")
+            if spec.positive and not all(v > 0 for v in values):
+                raise ConfigError(f"{where}/{key}: must be > 0")
         elif spec.default is _REQUIRED:
             raise ConfigError(f"{where}/{key}: required parameter missing")
         else:
@@ -968,7 +971,7 @@ _register(
     _run_tube,
     dim=Param(int, 4),
     offset=Param(float, 0.0),
-    eps=Param(float, 0.01),
+    eps=Param(float, 0.01, positive=True),
     samples=Param(int, minimum=2),
     slack=Param(float, 1e-4),
 )
@@ -982,8 +985,8 @@ _register(
     "perimeter.offband",
     _run_offband,
     dim=Param(int, 4),
-    eps=Param(float),
-    band=Param(float),
+    eps=Param(float, positive=True),
+    band=Param(float, positive=True),
     samples=Param(int, minimum=2),
 )
 _register("perimeter.corollary_bounds", _run_corollary_bounds, max_n=Param(int, 64))
@@ -991,39 +994,39 @@ _register(
     "malliavin.grad_max",
     _run_grad_max,
     n=Param(int, 1000, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000, minimum=2),
-    eps=Param(float, 1e-5),
-    tolerance=Param(float, 1e-6),
+    eps=Param(float, 1e-5, positive=True),
+    tolerance=Param(float, 1e-6, positive=True),
 )
 _register(
     "malliavin.second_diff",
     _run_second_diff,
     n=Param(int, 1000, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000, minimum=2),
-    eps=Param(float, 1e-3),
+    eps=Param(float, 1e-3, positive=True),
 )
 _register(
     "malliavin.tied_peak",
     _run_tied_peak,
     n=Param(int, 1000, minimum=4),
-    horizon=Param(float, 1.0),
-    eps=Param(float, 1e-3),
+    horizon=Param(float, 1.0, positive=True),
+    eps=Param(float, 1e-3, positive=True),
     halvings=Param(int, 2),
 )
 _register(
     "malliavin.adjoint2_zero",
     _run_adjoint2_zero,
     n=Param(int, 256, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 100000, minimum=2),
 )
 _register(
     "malliavin.weak_symmetry",
     _run_weak_symmetry,
     n=Param(int, 500, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 200000, minimum=2),
     g=Param(str, "bump"),
 )
@@ -1032,7 +1035,7 @@ _register(
     _run_chain_vs_weak,
     coupled=_distinct_split_nodes,
     n=Param(int, 1000, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000000, minimum=2),
     nodes=Param(int, 24, minimum=1),
     g=Param(str, "const1"),
@@ -1041,14 +1044,14 @@ _register(
     "malliavin.sigma_flat",
     _run_sigma_flat,
     n=Param(int, 1000, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000, minimum=2),
-    eps=Param(float, 1e-6),
+    eps=Param(float, 1e-6, positive=True),
 )
 _register(
     "density.lt_zero",
     _run_lt_zero,
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     t_fracs=Param(_floats, (0.25, 0.5, 0.75)),
 )
 _register(
@@ -1056,7 +1059,7 @@ _register(
     _run_lt_zero_mc,
     coupled=_interior_split,
     n=Param(int, 2000, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     t_frac=Param(float, 0.5),
     samples=Param(int, 1000000, minimum=2),
 )
@@ -1065,7 +1068,7 @@ _register(
     _run_tv_bound,
     coupled=_two_distinct_n,
     n=Param(_ints, (100, 1000, 2000), minimum=3),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
 )
 _register("density.limit_integral", _run_limit_integral)
 _register("density.riemann", _run_riemann, n=Param(int, 2000, minimum=3))
@@ -1073,14 +1076,18 @@ _register(
     "density.asymptote",
     _run_asymptote,
     n=Param(_ints, (10, 100, 1000), minimum=1),
-    bounds=Param(_floats, (0.03, 0.003, 0.0003)),
+    bounds=Param(_floats, (0.03, 0.003, 0.0003), positive=True),
 )
-_register("density.curve_mass", _run_density_mass, lengths=Param(_floats, (0.5, 1.0, 4.0)))
+_register(
+    "density.curve_mass",
+    _run_density_mass,
+    lengths=Param(_floats, (0.5, 1.0, 4.0), positive=True),
+)
 _register(
     "concentration.unique_max",
     _run_unique_max,
     n=Param(int, 1000, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000000, minimum=2),
 )
 _register(
@@ -1088,10 +1095,10 @@ _register(
     _run_excess_ladder,
     coupled=_interior_split,
     n=Param(int, 1000, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     t_frac=Param(float, 0.5),
-    eps=Param(float, 0.01),
-    deltas=Param(_floats, (0.2, 0.1, 0.05, 0.025)),
+    eps=Param(float, 0.01, positive=True),
+    deltas=Param(_floats, (0.2, 0.1, 0.05, 0.025), positive=True),
     samples=Param(int, 1000000, minimum=2),
 )
 _register(
@@ -1099,10 +1106,10 @@ _register(
     _run_double_max_ladder,
     coupled=_interior_split,
     n=Param(int, 1000, minimum=2),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     t_frac=Param(float, 0.5),
-    epss=Param(_floats, (0.08, 0.3, 1e9)),
-    delta=Param(float, 0.05),
+    epss=Param(_floats, (0.08, 0.3, 1e9), positive=True),
+    delta=Param(float, 0.05, positive=True),
     samples=Param(int, 1000000, minimum=2),
 )
 _register(
@@ -1110,14 +1117,14 @@ _register(
     _run_sampler_moments,
     n=Param(int, 10, minimum=1),
     brownian_n=Param(int, 1000, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 100000, minimum=2),
 )
 _register(
     "sampling.worker_invariance",
     _run_worker_invariance,
     n=Param(int, 10, minimum=1),
-    horizon=Param(float, 1.0),
+    horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 100000, minimum=2),
 )
 

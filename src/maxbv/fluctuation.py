@@ -7,11 +7,22 @@ continuous increments (Sparre Andersen), its generating function
 The Monte Carlo layer checks the same quantities on sampled walks and
 bridges, including the cyclic-symmetry consequence that the bridge argmax
 position is uniform.
+
+The stay-below estimates step each walk or bridge one node at a time and
+drop it at its first exit above 0 (``sampling.stay_below_count``), so a
+path costs O(sqrt(n)) normals instead of n: 3.52 for the walk at n = 10,
+about 9.3 for the bridge at n = 100.  The bridge steps by the exact
+conditional law of its next node given the current one.  Mean-subtracted
+full paths reach 1/n for any exchangeable increments, whatever their law;
+the stepped bridge reaches it only if the transition's mean and variance
+are right, so the 1/n rows also test that law.  The argmax census needs
+whole bridges and draws them with ``bridge_sums_batch``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,11 +33,9 @@ from .sampling import (
     SeedSpec,
     bridge_sums_batch,
     mc_collect,
-    mc_run,
-    walk_sums_batch,
+    moment_estimate,
+    stay_below_count,
 )
-
-ExactRational = Fraction
 
 
 def rational_str(q: Fraction) -> str:
@@ -98,32 +107,61 @@ def andersen_series_check(order: int) -> tuple[SeriesCoefficients, SeriesCoeffic
 # Monte Carlo counterparts
 # ---------------------------------------------------------------------------
 
+#: Paths per task call of the stay-below estimators.  Part of their stream
+#: definition, like ``N_SUBSTREAMS``: changing it changes the estimates.
+STAY_BELOW_CHUNK = 65_536
+
+
+def _stay_below_estimate(
+    n: int, samples: int, seed: SeedSpec, workers: int, *, bridge: bool
+) -> MCEstimate:
+    """Stay-below fraction from :func:`stay_below_count` over the substream
+    plan, with the mean and SE that ``mc_run`` gives 0/1 values."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+
+    def task(rng: np.random.Generator, count: int) -> int:
+        return stay_below_count(rng, count, n, bridge=bridge)
+
+    hits = mc_collect(
+        task,
+        samples,
+        seed,
+        combine=operator.add,
+        workers=workers,
+        chunk_size=STAY_BELOW_CHUNK,
+    )
+    return moment_estimate(samples, hits, hits, seed)
+
+
 def mc_halfline_prob(
     n: int, samples: int, seed: SeedSpec, *, workers: int = 1
 ) -> MCEstimate:
-    """MC estimate of P(all partial sums <= 0) over sampled walks."""
+    """MC estimate of P(W_1 <= 0, ..., W_n <= 0) for the Gaussian walk.
+
+    Each walk is stepped until its first exit above 0, so a path costs
+    2n C(2n,n)/4^n normals on average (3.52 at n = 10) instead of n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-
-    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        sums = walk_sums_batch(rng, count, n)
-        return (sums[:, 1:].max(axis=1) <= 0.0).astype(float)
-
-    return mc_run(statistic, samples, seed, workers=workers)
+    return _stay_below_estimate(n, samples, seed, workers, bridge=False)
 
 
 def mc_bridge_stay_prob(
     n: int, samples: int, seed: SeedSpec, *, workers: int = 1
 ) -> MCEstimate:
-    """MC estimate of P(all bridge partial sums <= 0)."""
+    """MC estimate of P(W_1 <= 0, ..., W_{n-1} <= 0 | W_n = 0) = 1/n.
+
+    Each bridge is stepped by the exact conditional law of its next node,
+    W_{k+1} = a W_k + sqrt(a) Z with a = (n-k-1)/(n-k), until its first exit
+    above 0: about 9.3 normals per path at n = 100 and 28 at n = 1000.
+    The reference 1/n holds for any exchangeable increments, so on
+    mean-subtracted paths it cannot see a wrong Gaussian law; stepped this
+    way it holds only if the transition's mean and variance are right.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-
-    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        sums = bridge_sums_batch(rng, count, n)
-        return (sums[:, : n - 1].max(axis=1) <= 0.0).astype(float)
-
-    return mc_run(statistic, samples, seed, workers=workers)
+    return _stay_below_estimate(n, samples, seed, workers, bridge=True)
 
 
 def chi_square_sf(df: int, x: float) -> float:

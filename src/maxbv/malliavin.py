@@ -58,14 +58,11 @@ class FDConfig:
     """Central finite-difference configuration."""
 
     eps: float
-    scheme: str = "central"
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ValueError("bump size must be positive")
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 

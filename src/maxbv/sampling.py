@@ -159,6 +159,34 @@ def brownian_values_batch(
     return out
 
 
+def stay_below_count(
+    rng: np.random.Generator, count: int, n: int, *, bridge: bool
+) -> int:
+    """How many of ``count`` paths keep every node <= 0: W_1..W_n of a walk,
+    or W_1..W_{n-1} of a bridge pinned at W_n = 0.
+
+    The paths advance one step at a time, and each is dropped at its first
+    exit, so every step draws normals only for the paths still below.  A
+    walk steps by W_{k+1} = W_k + Z; a bridge by the exact conditional law
+    of its next node given the current one, W_{k+1} = a W_k + sqrt(a) Z with
+    a = (n-k-1)/(n-k).  The expected number of normals per path is
+    sum_{k<n} C(2k,k)/4^k = 2n C(2n,n)/4^n ~ 2 sqrt(n/pi) for the walk and
+    O(sqrt(n)) for the bridge.
+    """
+    w = np.zeros(count)
+    for k in range(n - 1 if bridge else n):
+        if w.size == 0:
+            break
+        z = rng.standard_normal(w.size)
+        if bridge:
+            a = (n - k - 1) / (n - k)
+            w *= a
+            z *= math.sqrt(a)
+        w += z
+        w = w[w <= 0.0]
+    return int(w.size)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic parallel driver
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maxbv
@@ -88,6 +89,15 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 99
         assert {e["experiment"] for e in manifest["experiments"]} == {"andersen", "stay"}
+
+    def test_manifest_records_build(self, tmp_path):
+        # Generator streams are reproducible only on the same numpy version
+        out = tmp_path / "out"
+        main(["run", "--config", str(write(tmp_path, GOOD_CONFIG)), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rng"] == "numpy-default_rng-PCG64"
+        assert manifest["numpy"] == np.__version__
+        assert manifest["python"] == "{}.{}.{}".format(*sys.version_info[:3])
 
     def test_empty_config_exits_nonzero(self, tmp_path, capsys):
         config = write(tmp_path, "[run]\nseed = 1\n")
@@ -292,6 +302,26 @@ samples = 2000
     def test_coupled_parameters(self, tmp_path, capsys, body, message):
         # each value passes its own range check; together they cannot run
         config = write(tmp_path, f"[experiment:edge]\n{body}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, key", [
+        ("operation = concentration.excess_ladder\nn = 10\neps = 0\nsamples = 2000",
+         "eps"),
+        ("operation = density.lt_zero\nhorizon = 0", "horizon"),
+        ("operation = density.lt_zero\nhorizon = -1", "horizon"),
+        ("operation = perimeter.tube\neps = 0\nsamples = 2000", "eps"),
+        ("operation = concentration.double_max_ladder\nn = 10\ndelta = nan\n"
+         "samples = 2000", "delta"),
+        ("operation = density.asymptote\nbounds = 0.03,nan,0.0003", "bounds"),
+    ])
+    def test_non_positive_float(self, tmp_path, capsys, body, key):
+        # each would raise inside its run function; the edge check names the field
+        config = write(tmp_path, f"[experiment:edge]\n{body}\n")
+        message = f"experiment:edge/{key}: must be > 0"
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(config)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])

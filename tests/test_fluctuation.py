@@ -1,5 +1,6 @@
 """Exact fluctuation identities and their Monte Carlo counterparts."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,13 @@ from maxbv.fluctuation import (
     mc_halfline_prob,
     rational_str,
 )
-from maxbv.sampling import SeedSpec, mc_collect, mc_run
+from maxbv.sampling import (
+    SeedSpec,
+    bridge_sums_batch,
+    mc_collect,
+    mc_run,
+    walk_sums_batch,
+)
 
 SEED = SeedSpec(424242, 0)
 
@@ -149,16 +156,43 @@ class TestArgmaxHistogram:
         assert counts.sum() == 2000
 
 
-class TestStayBelowLayout:
-    @pytest.mark.parametrize("n", [2, 5, 30])
-    def test_matches_origin_layout_statistic(self, n):
-        def statistic(rng, count):
-            x = rng.standard_normal((count, n))
-            x -= x.mean(axis=1, keepdims=True)
-            sums = np.concatenate((np.zeros((count, 1)), np.cumsum(x, axis=1)), axis=1)
-            return (sums[:, 1:n].max(axis=1) <= 0.0).astype(float)
+class TestStayBelowLaw:
+    """The step-by-step estimates against the full-path statistic on
+    independent streams: equal in law, so their difference is within 4 SE."""
 
-        assert mc_bridge_stay_prob(n, 5_000, SEED) == mc_run(statistic, 5_000, SEED)
+    SAMPLES = 200_000
+
+    def _agree(self, est, statistic):
+        ref = mc_run(statistic, self.SAMPLES, SeedSpec(31337, 1))
+        se = math.hypot(est.std_error, ref.std_error)
+        assert abs(est.mean - ref.mean) <= 4 * se, (est.mean, ref.mean, se)
+
+    @pytest.mark.parametrize("n", [3, 5, 30])
+    def test_bridge_matches_full_path_statistic(self, n):
+        def statistic(rng, count):
+            sums = bridge_sums_batch(rng, count, n)
+            return (sums[:, : n - 1].max(axis=1) <= 0.0).astype(float)
+
+        self._agree(mc_bridge_stay_prob(n, self.SAMPLES, SEED), statistic)
+
+    @pytest.mark.parametrize("n", [3, 5, 30])
+    def test_walk_matches_full_path_statistic(self, n):
+        def statistic(rng, count):
+            sums = walk_sums_batch(rng, count, n)
+            return (sums[:, 1:].max(axis=1) <= 0.0).astype(float)
+
+        self._agree(mc_halfline_prob(n, self.SAMPLES, SEED), statistic)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_estimates_identical_across_workers(self, n):
+        for estimator in (mc_halfline_prob, mc_bridge_stay_prob):
+            ests = [estimator(n, 300_000, SEED, workers=w) for w in (1, 2, 4)]
+            assert ests[0] == ests[1] == ests[2]
+
+    def test_too_few_samples_rejected(self):
+        for estimator in (mc_halfline_prob, mc_bridge_stay_prob):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                estimator(5, 1, SEED)
 
 
 class TestChiSquareSurvival:

@@ -17,6 +17,7 @@ from maxbv.sampling import (
     sample_bridge,
     sample_brownian,
     sample_walk,
+    stay_below_count,
     stream_counts,
     walk_sums_batch,
 )
@@ -166,6 +167,45 @@ class TestBridge:
 
         est = mc_run(statistic, 100_000, SEED)
         assert est.within(0.0)
+
+
+class _CountingNormals:
+    """A generator stand-in that counts the normals drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        self.drawn += int(np.prod(size))
+        return self.rng.standard_normal(size)
+
+
+class TestStayBelowCount:
+    @pytest.mark.parametrize("n, bridge", [(1, False), (2, True)])
+    def test_one_step_counts_nonpositive_first_draws(self, n, bridge):
+        # one step: W_1 = Z (walk) or sqrt(1/2) Z (bridge), same sign as Z
+        for seed in (SEED, SeedSpec(3, 9)):
+            first = seed.generator().standard_normal(5000)
+            got = stay_below_count(seed.generator(), 5000, n, bridge=bridge)
+            assert got == int((first <= 0.0).sum())
+
+    def test_walk_draws_per_path(self):
+        # expected draws sum_{k<n} C(2k,k)/4^k = 2n C(2n,n)/4^n = 3.524 at n = 10
+        rng = _CountingNormals(SEED.generator())
+        stay_below_count(rng, 65_536, 10, bridge=False)
+        assert rng.drawn / 65_536 == pytest.approx(3.524, rel=0.02)
+
+    def test_bridge_draws_per_path(self):
+        # about 9.3 per path at n = 100, against 100 for a full bridge
+        rng = _CountingNormals(SEED.generator())
+        stay_below_count(rng, 65_536, 100, bridge=True)
+        assert rng.drawn / 65_536 < 12
+
+    def test_one_node_bridge_stays_below(self):
+        rng = _CountingNormals(SEED.generator())
+        assert stay_below_count(rng, 100, 1, bridge=True) == 100
+        assert rng.drawn == 0
 
 
 class TestMCRun:
