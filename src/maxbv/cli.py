@@ -56,9 +56,13 @@ _ENV_OUT = "MAXBV_OUT"
 
 def load_config(path: Path) -> tuple[dict, list[ExperimentSpec]]:
     """Parse a key = value config with a [run] section and one
-    [experiment:<id>] section per experiment; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    [experiment:<id>] section per experiment; unknown keys are rejected.
+    Values are taken literally: '%' has no interpolation meaning."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     run_opts = {"seed": DEFAULT_MASTER_SEED, "workers": 1, "out": None}

@@ -6,21 +6,37 @@ to a shrinking window concentrates the paths on trajectories with one
 near-global maximum strictly before t and one strictly after.  All checks
 here are trend checks: the underlying statements are qualitative.
 
-Reflection.  Every statistic here reads a path only through segment maxima,
-argmaxima and W_t, and -W has the law of W, so each Brownian draw is
-evaluated twice: as W and, after an in-place negation, as -W (antithetic
-variates; Hammersley & Morton, 1956).  ``samples`` counts evaluated paths,
-two per draw, so ``ceil(samples/2)`` draws are made.  The two views of one
-draw are dependent, so a ladder's standard error is the delta-method error
-of a ratio over the iid per-draw counts (:func:`_ratio_estimate`).  Two
-symmetries are left out on purpose:
+Symmetry views.  Each Brownian draw is evaluated as several paths with the
+law of W (antithetic variates; Hammersley & Morton, 1956).  ``samples``
+counts evaluated paths, so ``ceil(samples/views)`` draws are made.  The
+views of one draw are dependent, so a ladder's standard error is the
+delta-method error of a ratio over the iid per-draw counts
+(:func:`_ratio_estimate`).
 
-- time reversal W_{T-.} - W_T: at t = T/2 it swaps the two segments, and
-  the census statistics would come out identical for both views;
+- The two ladders read a path only through its segment excesses around t,
+  A = max_[0,t] W - W_t and B = max_[t,T] W - W_t, and their argmaxima.
+  The increments before and after t are independent and symmetric, so
+  reflecting either segment around W_t on its own keeps the law of W: each
+  draw is evaluated as W, -W, W~ (W_k -> 2 W_t - W_k for k >= t) and -W~
+  (:func:`_segment_views`).
+- ``unique_max_check`` reads the top-two gap of the whole path, which W and
+  W~ often share, so it keeps W and -W (:func:`_both_signs`).
+
+Measured and left out (per-row SE at equal evaluated paths, n = 1000):
+
+- four views for ``unique_max_check`` at samples/4 draws: gap-fraction SEs
+  x1.21-1.38;
+- segment-wise time reversal on top of the four views (16 views at
+  samples/16 draws): the eps = 0.08 double-max SE x1.20.  Whole-path time
+  reversal W_{T-.} - W_T maps (A, B) to (B, A) at t = T/2, and every
+  ladder statistic is symmetric in the two excesses;
 - reflection of the walk and bridge operations (``fluctuation``): their
   rows ``stay-below-n1`` and ``bridge-stay-n2`` test exactly the sign
-  symmetry, so the estimator would be 1/2 with standard error 0 and the
-  row could not fail.
+  symmetry, so the estimator would be 1/2 with standard error 0;
+- two speed-ups that keep the streams, slower on the ``census`` benchmark
+  workload: a row-blocked ``walk_sums_batch`` (28.8 -> 22.7 ns/node in
+  isolation, +0.3-0.5 s end to end in 3 of 3 pairs), and chunks of 64-128
+  rows instead of 1024 (2.17 -> 2.49-2.55 s in-process at workers 2).
 """
 
 from __future__ import annotations
@@ -36,9 +52,10 @@ from .paths import TimeGrid, segment_split_stats, top_two_gap
 from .sampling import MCEstimate, SeedSpec, brownian_values_batch, mc_collect
 
 
-def _draws(samples: int) -> int:
-    """Brownian draws that give ``samples`` evaluated paths, two per draw."""
-    return -(-samples // 2)
+def _draws(samples: int, views: int) -> int:
+    """Brownian draws that give ``samples`` evaluated paths, ``views`` per
+    draw."""
+    return -(-samples // views)
 
 
 def _both_signs(values: np.ndarray, view) -> np.ndarray:
@@ -53,6 +70,33 @@ def _both_signs(values: np.ndarray, view) -> np.ndarray:
     first = view(values)
     np.negative(values, out=values)
     return np.add(first, view(values), dtype=np.int64)
+
+
+def _segment_views(
+    values: np.ndarray, t_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(left excess, right excess, left argmax, right argmax) around node
+    ``t_index`` of the four views W, -W, W~, -W~ of each path in ``values``,
+    as (4, count) arrays in that order.
+
+    W~ reflects the segment after t around W_t, so its right excess is the
+    right excess B' = W_t - min_[t,T] W of -W, and its right argmax is the
+    first right argmin of W; -W~ pairs the left segment of -W with the
+    right segment of W.  Two passes give all four: over W and, after
+    ``values`` is negated in place, over -W.
+    """
+    max_l, arg_l, max_r, arg_r = segment_split_stats(values, t_index)
+    w_t = values[:, t_index].copy()
+    np.negative(values, out=values)
+    neg_l, neg_arg_l, neg_r, neg_arg_r = segment_split_stats(values, t_index)
+    a, b = max_l - w_t, max_r - w_t
+    a_neg, b_neg = neg_l + w_t, neg_r + w_t
+    return (
+        np.stack((a, a_neg, a, a_neg)),
+        np.stack((b, b_neg, b_neg, b)),
+        np.stack((arg_l, neg_arg_l, arg_l, neg_arg_l)),
+        np.stack((arg_r, neg_arg_r, neg_arg_r, arg_r)),
+    )
 
 
 def _ratio_sums(c: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -121,7 +165,7 @@ def unique_max_check(
         counts = _both_signs(values, view).sum(axis=0)
         return np.concatenate(([2 * count], counts))
 
-    acc = mc_collect(task, _draws(samples), seed, combine=np.add, workers=workers)
+    acc = mc_collect(task, _draws(samples, 2), seed, combine=np.add, workers=workers)
     total = int(acc[0])
     return TieStats(
         samples=total,
@@ -146,6 +190,8 @@ def excess_conditional_ladder(
 
     All deltas share one sampling pass, so the ladder is evaluated on common
     paths and the nesting of the events is preserved sample by sample.
+    ``samples`` is rounded up to a multiple of four paths, four views per
+    draw.
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
@@ -153,18 +199,15 @@ def excess_conditional_ladder(
         raise ValueError("eps and all deltas must be positive")
     dl = np.asarray(deltas, dtype=float)
 
-    def view(values):
-        max_l, _, max_r, _ = segment_split_stats(values, t_index)
-        w_t = values[:, t_index]
-        cond = np.abs(max_r - max_l) < eps
-        small = ((max_l - w_t)[:, None] < dl) | ((max_r - w_t)[:, None] < dl)
-        return np.column_stack((cond, small & cond[:, None]))
-
     def task(rng: np.random.Generator, count: int):
-        per_draw = _both_signs(brownian_values_batch(rng, count, grid), view)
-        return _ratio_sums(per_draw[:, :1], per_draw[:, 1:])
+        values = brownian_values_batch(rng, count, grid)
+        left, right, _, _ = _segment_views(values, t_index)
+        cond = np.abs(right - left) < eps
+        small = (left[..., None] < dl) | (right[..., None] < dl)
+        hit = (small & cond[..., None]).sum(axis=0)
+        return _ratio_sums(cond.sum(axis=0)[:, None], hit)
 
-    acc = mc_collect(task, _draws(samples), seed, combine=np.add, workers=workers)
+    acc = mc_collect(task, _draws(samples, 4), seed, combine=np.add, workers=workers)
     conditioned = int(acc[0, 0])
     if conditioned < 100:
         raise InsufficientSamplesError(
@@ -212,8 +255,10 @@ def double_max_ladder(
 
     Counted paths are also checked for strict argmax separation
     (left argmax < t < right argmax), which positive excesses force.
-    Scatter reservoirs keep the first few conditioned pairs per chunk (W
-    before -W) and merge them in stream order, so they are deterministic too.
+    ``samples`` is rounded up to a multiple of four paths, four views per
+    draw.  Scatter reservoirs keep the first few conditioned pairs per chunk
+    (views in the order W, -W, W~, -W~) and merge them in stream order, so
+    they are deterministic too.
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
@@ -224,26 +269,19 @@ def double_max_ladder(
     per_stream_cap = max(8, scatter_cap // 32)
 
     def task(rng: np.random.Generator, count: int):
-        kept = []
-
-        def view(values):
-            max_l, arg_l, max_r, arg_r = segment_split_stats(values, t_index)
-            w_t = values[:, t_index]
-            left_excess = max_l - w_t
-            right_excess = max_r - w_t
-            gap = np.abs(max_r - max_l)
-            both = (left_excess > delta) & (right_excess > delta)
-            separated = (arg_l < t_index) & (arg_r > t_index)
-            cond = gap[:, None] < widths
-            hit = cond & both[:, None]
-            keep = np.flatnonzero(gap < widths[-1])[:per_stream_cap]
-            kept.append(np.column_stack((left_excess[keep], right_excess[keep])))
-            return np.hstack((cond, hit, hit & ~separated[:, None]))
-
-        per_draw = _both_signs(brownian_values_batch(rng, count, grid), view)
-        cond, hit, unseparated = np.split(per_draw, 3, axis=1)
-        counts = np.vstack((_ratio_sums(cond, hit), unseparated.sum(axis=0)))
-        return counts, np.vstack(kept)[:per_stream_cap]
+        values = brownian_values_batch(rng, count, grid)
+        left, right, arg_l, arg_r = _segment_views(values, t_index)
+        gap = np.abs(right - left)
+        both = (left > delta) & (right > delta)
+        separated = (arg_l < t_index) & (arg_r > t_index)
+        cond = gap[..., None] < widths
+        hit = cond & both[..., None]
+        unseparated = (hit & ~separated[..., None]).sum(axis=(0, 1))
+        sums = _ratio_sums(cond.sum(axis=0), hit.sum(axis=0))
+        counts = np.vstack((sums, unseparated))
+        # boolean indexing walks the views in order, each in stream order
+        kept = np.stack((left, right), axis=-1)[gap < widths[-1]]
+        return counts, kept[:per_stream_cap]
 
     def combine(a, b):
         counts = a[0] + b[0]
@@ -251,7 +289,7 @@ def double_max_ladder(
         return counts, scatter
 
     counts, scatter = mc_collect(
-        task, _draws(samples), seed, combine=combine, workers=workers
+        task, _draws(samples, 4), seed, combine=combine, workers=workers
     )
     out = []
     for i, e in enumerate(epss):

@@ -60,7 +60,8 @@ def _ints(text: Any) -> tuple[int, ...]:
 class Param:
     """A parameter's parser, its default, and optional range checks that
     every element of a tuple value must meet too: an integer lower bound,
-    or ``positive`` for a float that must be > 0 (which rejects NaN)."""
+    or ``positive`` for a float that must be > 0 (which rejects NaN).  Every
+    float must be finite."""
 
     cast: Callable[[Any], Any]
     default: Any = _REQUIRED
@@ -96,6 +97,8 @@ def validate_params(op: OpSpec, raw: dict, where: str) -> dict:
                 raise ConfigError(f"{where}/{key}: must be >= {spec.minimum}")
             if spec.positive and not all(v > 0 for v in values):
                 raise ConfigError(f"{where}/{key}: must be > 0")
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ConfigError(f"{where}/{key}: must be finite")
         elif spec.default is _REQUIRED:
             raise ConfigError(f"{where}/{key}: required parameter missing")
         else:
@@ -890,10 +893,7 @@ def _run_worker_invariance(p, seed, workers):
     n, samples = p["n"], p["samples"]
 
     def statistic(rng, c):
-        sums = np.empty((c, n + 1))
-        sums[:, 0] = 0.0
-        np.cumsum(rng.standard_normal((c, n)), axis=1, out=sums[:, 1:])
-        return (sums[:, 1:].max(axis=1) <= 0.0).astype(float)
+        return (walk_sums_batch(rng, c, n)[:, 1:].max(axis=1) <= 0.0).astype(float)
 
     e1 = mc_run(statistic, samples, seed, workers=1)
     e8 = mc_run(statistic, samples, seed, workers=8)
@@ -941,7 +941,9 @@ def _register(name: str, run, coupled=None, **params: Param) -> None:
 _register(
     "fluctuation.halfline_exact", _run_halfline_exact, n=Param(_ints, minimum=1)
 )
-_register("fluctuation.andersen_series", _run_andersen, order=Param(int, 64))
+_register(
+    "fluctuation.andersen_series", _run_andersen, order=Param(int, 64, minimum=1)
+)
 _register(
     "fluctuation.mc_halfline",
     _run_mc_halfline,
@@ -963,13 +965,13 @@ _register(
 _register(
     "perimeter.halfspace",
     _run_halfspace,
-    dims=Param(_ints, (1, 2, 8, 64)),
+    dims=Param(_ints, (1, 2, 8, 64), minimum=1),
     offset=Param(float, 0.0),
 )
 _register(
     "perimeter.tube",
     _run_tube,
-    dim=Param(int, 4),
+    dim=Param(int, 4, minimum=1),
     offset=Param(float, 0.0),
     eps=Param(float, 0.01, positive=True),
     samples=Param(int, minimum=2),
@@ -984,12 +986,16 @@ _register(
 _register(
     "perimeter.offband",
     _run_offband,
-    dim=Param(int, 4),
+    dim=Param(int, 4, minimum=1),
     eps=Param(float, positive=True),
     band=Param(float, positive=True),
     samples=Param(int, minimum=2),
 )
-_register("perimeter.corollary_bounds", _run_corollary_bounds, max_n=Param(int, 64))
+_register(
+    "perimeter.corollary_bounds",
+    _run_corollary_bounds,
+    max_n=Param(int, 64, minimum=1),
+)
 _register(
     "malliavin.grad_max",
     _run_grad_max,
@@ -1013,7 +1019,7 @@ _register(
     n=Param(int, 1000, minimum=4),
     horizon=Param(float, 1.0, positive=True),
     eps=Param(float, 1e-3, positive=True),
-    halvings=Param(int, 2),
+    halvings=Param(int, 2, minimum=1),
 )
 _register(
     "malliavin.adjoint2_zero",

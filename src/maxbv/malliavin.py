@@ -463,26 +463,10 @@ class ChainMaxEstimate:
     bandwidth: float
     effective_samples: int
 
-    CSV_HEADER = (
-        "estimator", "fingerprint", "mean", "std_error",
-        "bias_diagnostic", "samples", "seed",
-    )
-
     @property
     def bias_diagnostic(self) -> float:
         """|est(b) - est(b/2)|: the resolvable part of the kernel bias."""
         return abs(self.estimate.mean - self.estimate_half.mean)
-
-    def csv_row(self, estimator: str, fingerprint: str = "") -> tuple:
-        return (
-            estimator,
-            fingerprint,
-            self.estimate_half.mean,
-            self.estimate_half.std_error,
-            self.bias_diagnostic,
-            self.estimate_half.samples,
-            self.estimate_half.seed.label,
-        )
 
 
 _PILOT_COUNT = 4096

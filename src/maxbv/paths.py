@@ -8,11 +8,9 @@ safe to call from any number of concurrent workers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
 
 import numpy as np
 
@@ -74,13 +72,6 @@ class DiscretePath:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def write_csv(self, fp: IO[str]) -> None:
-        """Debug serialization: columns index, time, value."""
-        writer = csv.writer(fp)
-        writer.writerow(["index", "time", "value"])
-        for i, (t, v) in enumerate(zip(self.grid.times, self.values)):
-            writer.writerow([i, repr(float(t)), repr(float(v))])
 
 
 @dataclass(frozen=True)
@@ -200,13 +191,6 @@ class Direction:
         left = grid.times[:-1]
         dens = ((left >= start) & (left < end)).astype(float)
         return cls(grid, dens, label=label or f"ind[{start},{end})")
-
-    def write_csv(self, fp: IO[str]) -> None:
-        """Debug serialization of the primitive: columns index, time, value."""
-        writer = csv.writer(fp)
-        writer.writerow(["index", "time", "value"])
-        for i, (t, v) in enumerate(zip(self.grid.times, self.primitive)):
-            writer.writerow([i, repr(float(t)), repr(float(v))])
 
 
 def direction_catalog(grid: TimeGrid) -> list[Direction]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .fluctuation import halfline_prob_exact, mc_bridge_stay_prob
+from .fluctuation import mc_bridge_stay_prob
 from .sampling import MCEstimate, SeedSpec, mc_collect, mc_run
 
 #: Gaussian perimeter of a halfspace through the origin, phi(0).
@@ -66,18 +66,6 @@ class SurfaceMeasureEstimate:
     bias_bound: float = 0.0
     samples: int | None = None
     seed: SeedSpec | None = None
-
-    CSV_HEADER = ("n", "method", "value", "error_bound", "samples", "seed")
-
-    def csv_row(self, n: int | str = "") -> tuple:
-        return (
-            n,
-            self.method,
-            self.value,
-            self.error_bound,
-            self.samples,
-            self.seed.label if self.seed else "",
-        )
 
 
 def halfspace_perimeter(spec: HalfspaceSpec) -> SurfaceMeasureEstimate:
@@ -193,14 +181,10 @@ def corollary_bounds_exact(max_n: int) -> bool:
     is at most n^(-1/2) and the restricted perimeter at most n^(-1).
 
     C(2n,n)/4^n <= n^(-1/2) is squared into n * C(2n,n)^2 <= 16^n, an exact
-    integer comparison; (2*pi)^(-1/2)/n <= 1/n holds because phi(0) < 1.
+    integer comparison.  The restricted perimeter phi(0)/n is at most 1/n
+    for every n exactly when phi(0) <= 1, so that bound is the single
+    comparison of ``HALFSPACE_PERIMETER`` with 1 and needs no loop.
     """
     if HALFSPACE_PERIMETER > 1.0:
         return False
-    for n in range(1, max_n + 1):
-        if n * math.comb(2 * n, n) ** 2 > 16**n:
-            return False
-        # restricted perimeter: phi(0) * (1/n) <= 1/n, rational side exact
-        if halfline_prob_exact(n) > 1:  # sanity: probabilities stay <= 1
-            return False
-    return True
+    return all(n * math.comb(2 * n, n) ** 2 <= 16**n for n in range(1, max_n + 1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -347,18 +347,3 @@ def mc_run(
 
     (est,) = mc_run_many(one_row, samples, seed, workers=workers, chunk_size=chunk_size)
     return est
-
-
-def pooled_estimate(estimates: Sequence[MCEstimate]) -> MCEstimate:
-    """Equal-weight pooling of repeated runs of the same estimator."""
-    r = len(estimates)
-    if r == 0:
-        raise ValueError("nothing to pool")
-    mean = sum(e.mean for e in estimates) / r
-    se = float(np.sqrt(sum(e.std_error**2 for e in estimates))) / r
-    return MCEstimate(
-        mean=mean,
-        std_error=se,
-        samples=sum(e.samples for e in estimates),
-        seed=estimates[0].seed,
-    )

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import maxbv
 from maxbv import fluctuation
 from maxbv import cli
 from maxbv.cli import load_config, main
 from maxbv.errors import ConfigError, InsufficientSamplesError
+from maxbv.experiments import _REQUIRED, OPERATIONS, _floats, _ints
 
 GOOD_CONFIG = """
 [run]
@@ -74,6 +76,14 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("text", [
+        "n = 5\n",  # no section header
+        "[experiment:a]\noperation = density.riemann\nn = 10\nn = 20\n",
+    ])
+    def test_malformed_file_is_a_config_error(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="config.ini: "):
+            load_config(write(tmp_path, text))
 
 
 class TestRun:
@@ -327,6 +337,121 @@ samples = 2000
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+#: Valid values of the registry parameters that have no default.
+REQUIRED_VALUES = {"n": "40", "samples": "2000", "eps": "0.02", "band": "0.01"}
+FLOAT_CASTS, INT_CASTS = (float, _floats), (int, _ints)
+
+
+def base_params(op):
+    return {
+        key: REQUIRED_VALUES[key]
+        for key, spec in op.params.items()
+        if spec.default is _REQUIRED
+    }
+
+
+def coupled_violation(draw, op):
+    """(params, field the check names) that pass every per-field check and
+    fail ``op.coupled``."""
+    check = op.coupled.__name__
+    if check == "_interior_split":
+        n = draw(st.integers(2, 50))
+        low = st.floats(-10.0, 0.49 / n)
+        high = st.floats((n - 0.49) / n, 10.0)
+        return {"n": str(n), "t_frac": repr(draw(st.one_of(low, high)))}, "t_frac"
+    if check == "_distinct_split_nodes":
+        # a grid of n steps has n - 1 interior nodes
+        n = draw(st.integers(2, 60))
+        return {"n": str(n), "nodes": str(draw(st.integers(n, n + 60)))}, "n"
+    if check == "_two_distinct_n":
+        value = str(draw(st.integers(3, 5000)))
+        return {"n": ",".join([value] * draw(st.integers(1, 3)))}, "n"
+    raise AssertionError(f"no generator for the coupled check {check}")
+
+
+@st.composite
+def broken_configs(draw):
+    """(experiment id, operation, params, field): a config of one registry
+    operation in which exactly one field is broken."""
+    name = draw(st.sampled_from(sorted(OPERATIONS)))
+    op = OPERATIONS[name]
+    params = base_params(op)
+    numeric = sorted(k for k, p in op.params.items() if p.cast in FLOAT_CASTS + INT_CASTS)
+    checked = sorted(
+        k for k, p in op.params.items() if p.minimum is not None or p.positive
+    )
+    floats = sorted(k for k, p in op.params.items() if p.cast in FLOAT_CASTS)
+    kinds = ["unknown key"] + [
+        kind for kind, fields in
+        (("wrong type", numeric), ("<= 0", checked), ("nan", floats)) if fields
+    ]
+    if op.coupled is not None:
+        kinds.append("coupled")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unknown key":
+        field = draw(
+            st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True).filter(
+                lambda k: k not in op.params and k != "operation"
+            )
+        )
+        params[field] = "1"
+    elif kind == "coupled":
+        broken, field = coupled_violation(draw, op)
+        params.update(broken)
+    else:
+        field = draw(st.sampled_from({"wrong type": numeric, "<= 0": checked,
+                                      "nan": floats}[kind]))
+        spec = op.params[field]
+        if kind == "wrong type":
+            junk = "x" + draw(st.text(st.sampled_from("abz019_.+-%!"), max_size=8))
+            if spec.cast in INT_CASTS:
+                junk = draw(st.sampled_from([junk, "2.5", "1e3"]))
+            bad = junk
+        elif kind == "<= 0":
+            if spec.cast in INT_CASTS:
+                bad = str(draw(st.integers(-10**12, 0)))
+            else:
+                bad = repr(draw(st.floats(max_value=0.0, allow_nan=False)))
+        else:
+            bad = draw(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf"]))
+        if spec.cast in (_ints, _floats):  # one bad element among good ones
+            good = str(spec.default[0]) if spec.default is not _REQUIRED else "40"
+            at = draw(st.integers(0, 2))
+            bad = ",".join([good] * at + [bad] + [good] * (2 - at))
+        params[field] = bad
+    exp_id = draw(st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,15}", fullmatch=True))
+    return exp_id, name, params, field
+
+
+def config_text(exp_id, operation, params):
+    body = "".join(f"{k} = {v}\n" for k, v in params.items())
+    return f"[experiment:{exp_id}]\noperation = {operation}\n{body}"
+
+
+class TestConfigFuzz:
+    """Each registry operation, with one field broken, fails in
+    ``load_config`` with a ConfigError naming that field; no experiment runs."""
+
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_base_config_loads(self, tmp_path, operation):
+        params = base_params(OPERATIONS[operation])
+        _, (spec,) = load_config(write(tmp_path, config_text("e", operation, params)))
+        assert spec.operation == operation
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=broken_configs())
+    def test_one_broken_field_names_its_path(self, tmp_path, case):
+        exp_id, operation, params, field = case
+        config = write(tmp_path, config_text(exp_id, operation, params))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert str(err.value).startswith(f"experiment:{exp_id}/{field}: ")
 
 
 class TestReport:

@@ -79,8 +79,8 @@ class TestExcessConditional:
     def test_deterministic_across_workers(self):
         args = (HALF, 0.05, [0.2, 0.05], GRID, 50_000, SEED)
         a = excess_conditional_ladder(*args, workers=1)
-        b = excess_conditional_ladder(*args, workers=4)
-        assert a == b
+        for workers in (2, 4):
+            assert excess_conditional_ladder(*args, workers=workers) == a
 
 
 class TestDoubleMax:
@@ -111,42 +111,61 @@ class TestDoubleMax:
 
     def test_deterministic_across_workers(self):
         (a,) = double_max_ladder(HALF, [0.1], 0.05, GRID, 50_000, SEED, workers=1)
-        (b,) = double_max_ladder(HALF, [0.1], 0.05, GRID, 50_000, SEED, workers=4)
-        assert a.both_fraction == b.both_fraction
-        assert a.std_error == b.std_error
-        assert a.conditioned == b.conditioned
-        assert np.array_equal(a.scatter, b.scatter)
+        for workers in (2, 4):
+            (b,) = double_max_ladder(
+                HALF, [0.1], 0.05, GRID, 50_000, SEED, workers=workers
+            )
+            assert a.both_fraction == b.both_fraction
+            assert a.std_error == b.std_error
+            assert a.conditioned == b.conditioned
+            assert np.array_equal(a.scatter, b.scatter)
 
 
 # ---------------------------------------------------------------------------
-# Reflection: each draw is evaluated as W and -W
+# Symmetry views: unique_max evaluates W and -W, the ladders W, -W, W~, -W~
 # ---------------------------------------------------------------------------
 
 SMALL = TimeGrid(100, 1.0)
 T = SMALL.n // 2
 # 70_001 draws: 1,094 or 1,093 per stream, so every stream runs two chunks
-REF_SAMPLES = 140_001
+DRAWS = 70_001
 
 
-def per_draw_reference(view, grid=SMALL, samples=REF_SAMPLES, seed=SEED):
-    """Per-draw sums view(W) + view(-W) over mc_collect's stream plan for
-    ceil(samples/2) draws, with -W an explicitly negated copy."""
-    rows = []
-    for j, count in enumerate(stream_counts(-(-samples // 2))):
+def stream_draws(draws=DRAWS, grid=SMALL, seed=SEED):
+    """The Brownian chunks of mc_collect's stream plan for ``draws`` draws,
+    in fold order."""
+    for j, count in enumerate(stream_counts(draws)):
         rng = seed.generator(j)
         while count > 0:
             c = min(count, DEFAULT_CHUNK)
-            w = np.sqrt(grid.step) * walk_sums_batch(rng, c, grid.n)
-            rows.append(view(w).astype(np.int64) + view(-w))
+            yield np.sqrt(grid.step) * walk_sums_batch(rng, c, grid.n)
             count -= c
-    return np.concatenate(rows)
 
 
-def split_reference(w, t):
-    """Segment maxima, first argmaxima and W_t by plain numpy slices."""
+def both_signs(w):
+    return w, -w
+
+
+def segment_views(w, t=T):
+    """W, -W, W~ and -W~ as explicit arrays, where W~ reflects the segment
+    after t around W_t."""
+    tilde = np.concatenate((w[:, : t + 1], 2 * w[:, t : t + 1] - w[:, t + 1 :]), axis=1)
+    return w, -w, tilde, -tilde
+
+
+def per_draw_reference(view, views, draws=DRAWS):
+    """Per-draw sums of ``view`` over the explicit ``views`` of every draw."""
+    return np.concatenate(
+        [sum(view(v).astype(np.int64) for v in views(w)) for w in stream_draws(draws)]
+    )
+
+
+def split_reference(w, t=T):
+    """Segment excesses and first argmaxima around t by plain numpy slices."""
     left, right = w[:, : t + 1], w[:, t:]
     arg_l, arg_r = left.argmax(axis=1), t + right.argmax(axis=1)
-    return left.max(axis=1), arg_l, right.max(axis=1), arg_r, w[:, t]
+    w_t = w[:, t]
+    return left.max(axis=1) - w_t, arg_l, right.max(axis=1) - w_t, arg_r
 
 
 def delta_method_se(c, h):
@@ -154,6 +173,21 @@ def delta_method_se(c, h):
     c, h = c.astype(float), h.astype(float)
     r = h.sum() / c.sum()
     return math.sqrt(np.sum((h - r * c) ** 2)) / c.sum()
+
+
+def double_max_view(epss, delta):
+    def view(w):
+        a, arg_l, b, arg_r = split_reference(w)
+        gap = np.abs(b - a)
+        both = (a > delta) & (b > delta)
+        separated = (arg_l < T) & (arg_r > T)
+        cols = []
+        for e in epss:
+            hit = (gap < e) & both
+            cols += [gap < e, hit, hit & ~separated]
+        return np.column_stack(cols)
+
+    return view
 
 
 class TestReflection:
@@ -165,9 +199,9 @@ class TestReflection:
             gap = top[:, -1] - top[:, -2]
             return np.column_stack([gap == 0.0] + [gap < x for x in thr])
 
-        ref = per_draw_reference(view).sum(axis=0)
-        stats = unique_max_check(SMALL, REF_SAMPLES, SEED, thresholds=thr)
-        assert stats.samples == 2 * 70_001
+        ref = per_draw_reference(view, both_signs).sum(axis=0)
+        stats = unique_max_check(SMALL, 2 * DRAWS - 1, SEED, thresholds=thr)
+        assert stats.samples == 2 * DRAWS
         assert stats.ties == ref[0]
         assert stats.fractions == tuple(int(k) / stats.samples for k in ref[1:])
 
@@ -175,15 +209,15 @@ class TestReflection:
         eps, deltas = 0.05, (0.2, 0.1, 0.05)
 
         def view(w):
-            max_l, _, max_r, _, w_t = split_reference(w, T)
-            cond = np.abs(max_r - max_l) < eps
-            small = [(max_l - w_t < d) | (max_r - w_t < d) for d in deltas]
+            a, _, b, _ = split_reference(w)
+            cond = np.abs(b - a) < eps
+            small = [(a < d) | (b < d) for d in deltas]
             return np.column_stack([cond] + [s & cond for s in small])
 
-        ref = per_draw_reference(view)
-        ests = excess_conditional_ladder(T, eps, deltas, SMALL, REF_SAMPLES, SEED)
+        ref = per_draw_reference(view, segment_views)
+        ests = excess_conditional_ladder(T, eps, deltas, SMALL, 4 * DRAWS - 3, SEED)
         c = ref[:, 0]
-        assert (c == 2).any()  # some draws are conditioned as W and as -W
+        assert (c >= 3).any()  # some draws are conditioned in three views or four
         for i, est in enumerate(ests):
             h = ref[:, 1 + i]
             assert est.samples == c.sum()
@@ -192,26 +226,41 @@ class TestReflection:
 
     def test_double_max_ladder_matches_reference(self):
         epss, delta = (0.1, 0.4), 0.05
-
-        def view(w):
-            max_l, arg_l, max_r, arg_r, w_t = split_reference(w, T)
-            gap = np.abs(max_r - max_l)
-            both = (max_l - w_t > delta) & (max_r - w_t > delta)
-            separated = (arg_l < T) & (arg_r > T)
-            cols = []
-            for e in epss:
-                hit = (gap < e) & both
-                cols += [gap < e, hit, hit & ~separated]
-            return np.column_stack(cols)
-
-        ref = per_draw_reference(view)
-        summaries = double_max_ladder(T, epss, delta, SMALL, REF_SAMPLES, SEED)
+        ref = per_draw_reference(double_max_view(epss, delta), segment_views)
+        summaries = double_max_ladder(T, epss, delta, SMALL, 4 * DRAWS, SEED)
         for i, s in enumerate(summaries):
             c, h, unseparated = ref[:, 3 * i], ref[:, 3 * i + 1], ref[:, 3 * i + 2]
             assert s.conditioned == c.sum()
             assert s.both_fraction == h.sum() / c.sum()
             assert s.std_error == pytest.approx(delta_method_se(c, h), rel=1e-12)
             assert s.argmax_separated == (unseparated.sum() == 0)
+
+    def test_argmax_separation_on_reflected_segment_views(self):
+        epss, delta = (0.1, 0.4), 0.05
+        view = double_max_view(epss, delta)
+        reflected = per_draw_reference(view, lambda w: segment_views(w)[2:])
+        hits, unseparated = reflected[:, 1::3], reflected[:, 2::3]
+        assert (hits.sum(axis=0) > 0).all()
+        assert unseparated.sum() == 0
+
+    def test_scatter_in_view_order(self):
+        eps, delta, cap = 0.4, 0.05, 64
+        kept = []
+        for w in stream_draws(1_000):
+            pairs = []
+            for v in segment_views(w):
+                a, _, b, _ = split_reference(v)
+                pairs.append(np.column_stack((a, b))[np.abs(b - a) < eps])
+            kept.append(np.vstack(pairs)[: max(8, cap // 32)])
+        ref = np.vstack(kept)[:cap]
+        (s,) = double_max_ladder(T, [eps], delta, SMALL, 4_000, SEED, scatter_cap=cap)
+        assert s.scatter.shape == ref.shape == (cap, 2)
+        np.testing.assert_allclose(s.scatter, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("samples, paths", [(1_000, 1_000), (100_001, 100_004)])
+    def test_unconditioned_row_counts_four_views_per_draw(self, samples, paths):
+        (s,) = double_max_ladder(T, [1e9], 0.05, SMALL, samples, SEED)
+        assert s.conditioned == paths
 
     def test_values_negated_in_place(self):
         values = np.arange(6.0).reshape(2, 3)
@@ -220,6 +269,15 @@ class TestReflection:
         assert values is buffer and np.array_equal(values, -np.arange(6.0).reshape(2, 3))
         assert per_draw.dtype == np.int64
         assert per_draw.tolist() == [[0], [1]]  # 0 and -0, then 3 and -3
+
+    def test_segment_views_of_one_path(self):
+        w = np.array([[0.0, 3.0, 1.0, -2.0, 2.0]])
+        left, right, arg_l, arg_r = concentration._segment_views(w, 2)
+        # W_t = 1: A = 2, A' = 1 (min 0 at node 0), B = 1, B' = 3 (min -2 at node 3)
+        assert left[:, 0].tolist() == [2.0, 1.0, 2.0, 1.0]
+        assert right[:, 0].tolist() == [1.0, 3.0, 3.0, 1.0]
+        assert arg_l[:, 0].tolist() == [1, 0, 1, 0]
+        assert arg_r[:, 0].tolist() == [4, 3, 3, 4]
 
 
 class TestRatioEstimate:

@@ -390,14 +390,3 @@ class TestSigma:
     def test_fd_zero_fraction(self):
         frac = sigma_fd_zero_fraction(GRID, 500, SEED, FDConfig(eps=1e-6))
         assert frac >= 0.99
-
-
-def test_chain_estimate_csv_row():
-    ch = chain_max_estimator(
-        constant_one(GRID), Direction.constant(GRID), GRID.n // 2, GRID,
-        KernelConfig(), 5_000, SeedSpec(5150, 22),
-    )
-    row = ch.csv_row("chain-mid", "abc123")
-    assert row[0] == "chain-mid"
-    assert row[2] == ch.estimate_half.mean
-    assert row[4] == ch.bias_diagnostic

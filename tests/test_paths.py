@@ -1,7 +1,6 @@
 """Path-core contracts: first-attainment argmax, split statistics, bumps,
 directions, and the vectorized running-max tables."""
 
-import io
 import itertools
 
 import numpy as np
@@ -193,14 +192,6 @@ class TestDirection:
         tent = cat[2]
         assert tent.primitive[-1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_csv_roundtrip_columns(self):
-        grid = TimeGrid(3, 1.0)
-        buf = io.StringIO()
-        Direction.constant(grid).write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "index,time,value"
-        assert len(lines) == 5
-
 
 class TestPathValidation:
     def test_nonzero_start_rejected(self):
@@ -215,11 +206,6 @@ class TestPathValidation:
         p = path_of([0, 1, 2])
         with pytest.raises(ValueError):
             p.values[0] = 5.0
-
-    def test_csv(self):
-        buf = io.StringIO()
-        path_of([0, 1, 2]).write_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "index,time,value"
 
 
 class TestBatchTables:

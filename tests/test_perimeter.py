@@ -112,9 +112,17 @@ def test_restricted_perimeter_below_reciprocal():
     assert HALFSPACE_PERIMETER < 1.0
 
 
-def test_surface_estimate_csv_row():
-    import numpy as np
-    from maxbv.perimeter import HalfspaceSpec, halfspace_perimeter
-    est = halfspace_perimeter(HalfspaceSpec(np.ones(2)))
-    row = est.csv_row(n=2)
-    assert row[0] == 2 and row[1] == "exact" and row[2] == est.value
+def test_corollary_row_fails_when_phi0_exceeds_one(monkeypatch):
+    # phi(0) <= 1 is the whole restricted-perimeter bound, so breaking it
+    # must fail the acceptance row
+    from maxbv import perimeter
+    from maxbv.experiments import OPERATIONS
+
+    def bounds_row():
+        run = OPERATIONS["perimeter.corollary_bounds"].run
+        (row,) = run({"max_n": 64}, SEED, 1).rows
+        return row
+
+    assert bounds_row().passed
+    monkeypatch.setattr(perimeter, "HALFSPACE_PERIMETER", 1.01)
+    assert not bounds_row().passed

@@ -6,14 +6,12 @@ import pytest
 from maxbv.errors import NonFiniteStatisticError
 from maxbv.paths import TimeGrid
 from maxbv.sampling import (
-    MCEstimate,
     SeedSpec,
     bridge_sums_batch,
     brownian_values_batch,
     mc_collect,
     mc_run,
     mc_run_many,
-    pooled_estimate,
     sample_bridge,
     sample_brownian,
     sample_walk,
@@ -302,13 +300,3 @@ class TestMCRunMany:
             mc_run_many(lambda rng, c: np.ones(c), 100, SEED)
         with pytest.raises(ValueError, match="one value per sample"):
             mc_run(lambda rng, c: np.ones((1, c)), 100, SEED)
-
-
-class TestPooling:
-    def test_pooled_mean_and_se(self):
-        e1 = MCEstimate(1.0, 0.1, 100, SEED)
-        e2 = MCEstimate(3.0, 0.1, 100, SEED)
-        pooled = pooled_estimate([e1, e2])
-        assert pooled.mean == 2.0
-        assert pooled.std_error == pytest.approx(np.sqrt(0.02) / 2)
-        assert pooled.samples == 200
