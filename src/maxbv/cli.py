@@ -316,20 +316,16 @@ def reproducibility_check(
         for other in dirs[1:]:
             if not filecmp.cmp(csv_path, other / csv_path.name, shallow=False):
                 identical = False
-    result = ExperimentResult()
-    result.rows.append(
+    return ExperimentResult([
         ResultRow(
             experiment="csv-reproducibility",
             check="quick-preset-csvs-byte-identical",
             value=identical,
             reference=True,
             tolerance=0.0,
-            passed=identical,
             seed=f"{master_seed}/quick",
-            fingerprint="",
         )
-    )
-    return result
+    ])
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -2,7 +2,8 @@
 parameter schema, plus the quick and full verification presets.
 
 Each operation maps validated parameters to an :class:`ExperimentResult`
-whose rows carry values, references, tolerances, and verdicts.  The full
+whose rows carry values, references and tolerances; each row's verdict
+follows from them (:func:`maxbv.reporting.verdict`).  The full
 preset is the acceptance suite; the quick preset is a under-a-minute subset
 with smaller sample counts.
 """
@@ -10,7 +11,7 @@ with smaller sample counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -44,16 +45,22 @@ DEFAULT_MASTER_SEED = 20260809
 _REQUIRED = object()
 
 
+def _list(cast: Callable[[Any], Any], text: Any) -> tuple:
+    """A non-empty tuple, from a sequence or comma-separated text."""
+    items = text if isinstance(text, (tuple, list)) else [
+        p for p in str(text).split(",") if p.strip()
+    ]
+    if not items:
+        raise ValueError("needs at least one value")
+    return tuple(cast(x) for x in items)
+
+
 def _floats(text: Any) -> tuple[float, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(x) for x in text)
-    return tuple(float(p) for p in str(text).split(",") if p.strip())
+    return _list(float, text)
 
 
 def _ints(text: Any) -> tuple[int, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(x) for x in text)
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
+    return _list(int, text)
 
 
 @dataclass(frozen=True)
@@ -136,21 +143,36 @@ def _two_distinct_n(p: dict) -> tuple[str, str] | None:
     return None
 
 
+def _interior_fracs(p: dict) -> tuple[str, str] | None:
+    if not all(0.0 < t < 1.0 for t in p["t_fracs"]):
+        return "t_fracs", "every value must lie in (0, 1)"
+    return None
+
+
+def _bound_per_n(p: dict) -> tuple[str, str] | None:
+    if len(p["bounds"]) != len(p["n"]):
+        return "bounds", f"needs one value per n: {len(p['n'])}, got {len(p['bounds'])}"
+    return None
+
+
 def _row(check: str, value, **kw) -> ResultRow:
     return ResultRow(experiment="", check=check, value=value, **kw)
 
 
+def _holds(check: str, ok: bool, **kw) -> ResultRow:
+    """A yes/no check, which passes when ``ok`` is true."""
+    return _row(check, ok, reference=True, tolerance=0.0, **kw)
+
+
+def _bound_row(check: str, value, reference: str, **kw) -> ResultRow:
+    """A one-sided check such as ``">=0.99"``, whose bound is its tolerance."""
+    return _row(check, value, reference=reference,
+                tolerance=float(reference.lstrip("<>=")), **kw)
+
+
 def _mc_row(check: str, est: MCEstimate, reference: float, slack: float = 0.0) -> ResultRow:
-    tol = 3.0 * est.std_error + slack
-    return _row(
-        check,
-        est.mean,
-        std_error=est.std_error,
-        reference=reference,
-        tolerance=tol,
-        passed=abs(est.mean - reference) <= tol,
-        samples=est.samples,
-    )
+    return _row(check, est.mean, std_error=est.std_error, reference=reference,
+                tolerance=3.0 * est.std_error + slack, samples=est.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +190,8 @@ def _run_halfline_exact(p, seed, workers):
 def _run_andersen(p, seed, workers):
     lhs, rhs = fluctuation.andersen_series_check(p["order"])
     match = lhs.coefficients == rhs.coefficients
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"series-exponential-equals-binomial-order{p['order']}",
-            match,
-            reference=True,
-            tolerance=0.0,
-            passed=match,
-        )
+    res = ExperimentResult(
+        [_holds(f"series-exponential-equals-binomial-order{p['order']}", match)]
     )
     res.series["coefficients"] = (
         ("n", "exp_side", "binomial_side"),
@@ -209,27 +224,12 @@ def _run_mc_bridge_stay(p, seed, workers):
 def _run_bridge_argmax(p, seed, workers):
     n = p["n"]
     hist = fluctuation.bridge_argmax_histogram(n, p["samples"], seed, workers=workers)
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"argmax-uniform-chi2-pvalue-n{n}",
-            hist.p_value,
-            reference=">1e-3",
-            tolerance=1e-3,
-            passed=hist.p_value > 1e-3,
-            samples=hist.samples,
-        )
-    )
-    res.rows.append(
-        _row(
-            f"argmax-exact-ties-n{n}",
-            hist.ties,
-            reference=0,
-            tolerance=0.0,
-            passed=hist.ties == 0,
-            samples=hist.samples,
-        )
-    )
+    res = ExperimentResult([
+        _bound_row(f"argmax-uniform-chi2-pvalue-n{n}", hist.p_value, ">1e-3",
+                   samples=hist.samples),
+        _row(f"argmax-exact-ties-n{n}", hist.ties, reference=0, tolerance=0.0,
+             samples=hist.samples),
+    ])
     res.series["histogram"] = (("position", "count"), hist.rows())
     return res
 
@@ -246,64 +246,30 @@ def _run_halfspace(p, seed, workers):
         values.append(perimeter.halfspace_perimeter(spec).value)
     same = all(v == values[0] for v in values)
     ref = perimeter.HALFSPACE_PERIMETER if p["offset"] == 0.0 else values[0]
-    res.rows.append(
-        _row(
-            "dimension-independence",
-            same,
-            reference=True,
-            tolerance=0.0,
-            passed=same,
-        )
-    )
+    res.rows.append(_holds("dimension-independence", same))
     if p["offset"] == 0.0:
-        res.rows.append(
-            _row(
-                "origin-halfspace-value",
-                values[0],
-                reference=ref,
-                tolerance=0.0,
-                passed=values[0] == ref,
-            )
-        )
+        res.rows.append(_row("origin-halfspace-value", values[0], reference=ref, tolerance=0.0))
     return res
 
 
 def _run_tube(p, seed, workers):
     spec = perimeter.HalfspaceSpec(np.ones(p["dim"]), p["offset"])
     est = perimeter.tube_perimeter(spec, p["eps"], p["samples"], seed, workers=workers)
-    exact = perimeter.halfspace_perimeter(spec).value
-    tol = 3.0 * est.std_error + p["slack"]
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"tube-vs-exact-eps{p['eps']}",
-            est.value,
-            std_error=est.std_error,
-            reference=exact,
-            tolerance=tol,
-            passed=abs(est.value - exact) <= tol,
-            samples=est.samples,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _row(f"tube-vs-exact-eps{p['eps']}", est.value, std_error=est.std_error,
+             reference=perimeter.halfspace_perimeter(spec).value,
+             tolerance=3.0 * est.std_error + p["slack"], samples=est.samples)
+    ])
 
 
 def _run_perimeter_bridge(p, seed, workers):
     res = ExperimentResult()
     for n in p["n"]:
         est = perimeter.restricted_perimeter_bridge(n, p["samples"], seed, workers=workers)
-        ref = perimeter.HALFSPACE_PERIMETER / n
-        tol = 3.0 * est.std_error
         res.rows.append(
-            _row(
-                f"restricted-perimeter-n{n}",
-                est.value,
-                std_error=est.std_error,
-                reference=ref,
-                tolerance=tol,
-                passed=abs(est.value - ref) <= tol,
-                samples=est.samples,
-            )
+            _row(f"restricted-perimeter-n{n}", est.value, std_error=est.std_error,
+                 reference=perimeter.HALFSPACE_PERIMETER / n,
+                 tolerance=3.0 * est.std_error, samples=est.samples)
         )
     return res
 
@@ -312,37 +278,18 @@ def _run_offband(p, seed, workers):
     est = perimeter.concentration_offband_mass(
         p["dim"], p["eps"], p["band"], p["samples"], seed, workers=workers
     )
-    res = ExperimentResult()
     if p["band"] >= p["eps"]:
-        res.rows.append(
-            _row(
-                "offband-mass-inclusion",
-                est.mean,
-                reference=0.0,
-                tolerance=0.0,
-                passed=est.mean == 0.0,
-                samples=est.samples,
-            )
-        )
+        row = _row("offband-mass-inclusion", est.mean, reference=0.0, tolerance=0.0,
+                   samples=est.samples)
     else:
         ref = 1.0 - p["band"] / p["eps"]  # flat-density limit of a thin tube
-        res.rows.append(_mc_row("offband-mass-thin-tube", est, ref, slack=0.01))
-    return res
+        row = _mc_row("offband-mass-thin-tube", est, ref, slack=0.01)
+    return ExperimentResult([row])
 
 
 def _run_corollary_bounds(p, seed, workers):
     ok = perimeter.corollary_bounds_exact(p["max_n"])
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"corollary-bounds-C1-n<=:{p['max_n']}",
-            ok,
-            reference=True,
-            tolerance=0.0,
-            passed=ok,
-        )
-    )
-    return res
+    return ExperimentResult([_holds(f"corollary-bounds-C1-n<=:{p['max_n']}", ok)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +300,11 @@ def _run_grad_max(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     cfg = malliavin.FDConfig(eps=p["eps"], tolerance=p["tolerance"])
     reports = malliavin.verify_grad_max(grid, p["samples"], seed, cfg, workers=workers)
-    res = ExperimentResult()
-    for r in reports:
-        res.rows.append(
-            _row(
-                f"gradient-identity-{r.direction}",
-                r.fraction_ok,
-                reference=">=0.99",
-                tolerance=0.99,
-                passed=r.fraction_ok >= 0.99 and r.checked > 0,
-                samples=r.checked,
-            )
-        )
-    return res
+    return ExperimentResult([
+        _bound_row(f"gradient-identity-{r.direction}", r.fraction_ok, ">=0.99",
+                   samples=r.checked)
+        for r in reports
+    ])
 
 
 def _run_second_diff(p, seed, workers):
@@ -374,35 +313,20 @@ def _run_second_diff(p, seed, workers):
     r = malliavin.second_difference_zero_fraction(
         grid, p["samples"], seed, cfg, workers=workers
     )
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "second-difference-exact-zero",
-            r.fraction_ok,
-            reference=">=0.99",
-            tolerance=0.99,
-            passed=r.fraction_ok >= 0.99 and r.checked > 0,
-            samples=r.checked,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _bound_row("second-difference-exact-zero", r.fraction_ok, ">=0.99",
+                   samples=r.checked)
+    ])
 
 
 def _run_tied_peak(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     mags = malliavin.tied_peak_second_differences(grid, p["eps"], p["halvings"])
-    res = ExperimentResult()
-    for i in range(p["halvings"]):
-        ratio = mags[i + 1] / mags[i]
-        res.rows.append(
-            _row(
-                f"tied-peak-doubling-{i}",
-                ratio,
-                reference=2.0,
-                tolerance=0.3,
-                passed=abs(ratio - 2.0) <= 0.3,
-            )
-        )
+    res = ExperimentResult([
+        _row(f"tied-peak-doubling-{i}", mags[i + 1] / mags[i], reference=2.0,
+             tolerance=0.3)
+        for i in range(p["halvings"])
+    ])
     res.series["magnitudes"] = (
         ("eps", "second_difference"),
         [(p["eps"] / 2**i, m) for i, m in enumerate(mags)],
@@ -436,20 +360,11 @@ def _run_weak_symmetry(p, seed, workers):
         SeedSpec(seed.master_seed, seed.stream_index + 1), workers=workers,
     )
     comb = math.hypot(e1.std_error, e2.std_error)
-    gap = abs(e1.mean - e2.mean)
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"weak-estimator-symmetry-{p['g']}",
-            gap,
-            std_error=comb,
-            reference=0.0,
-            tolerance=3.0 * comb,
-            passed=gap <= 3.0 * comb,
-            samples=e1.samples + e2.samples,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _row(f"weak-estimator-symmetry-{p['g']}", abs(e1.mean - e2.mean),
+             std_error=comb, reference=0.0, tolerance=3.0 * comb,
+             samples=e1.samples + e2.samples)
+    ])
 
 
 def _run_chain_vs_weak(p, seed, workers):
@@ -464,20 +379,11 @@ def _run_chain_vs_weak(p, seed, workers):
         nodes=p["nodes"], workers=workers,
     )
     primary = chain.estimate_half  # less kernel bias; diagnostic bounds the rest
-    tol = 3.0 * diff.std_error + chain.bias_diagnostic
-    gap = abs(diff.mean)
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"chain-vs-weak-{p['g']}",
-            gap,
-            std_error=diff.std_error,
-            reference=0.0,
-            tolerance=tol,
-            passed=gap <= tol,
-            samples=diff.samples,
-        )
-    )
+    res = ExperimentResult([
+        _row(f"chain-vs-weak-{p['g']}", abs(diff.mean), std_error=diff.std_error,
+             reference=0.0, tolerance=3.0 * diff.std_error + chain.bias_diagnostic,
+             samples=diff.samples)
+    ])
     res.series["estimates"] = (
         ("route", "mean", "std_error", "bandwidth"),
         [
@@ -495,27 +401,11 @@ def _run_sigma_flat(p, seed, workers):
         grid, p["samples"], seed, malliavin.FDConfig(eps=p["eps"]), workers=workers
     )
     stat = malliavin.sigma_functional(sample_brownian(grid, seed))
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "argmax-time-fd-zero-fraction",
-            frac,
-            reference=">=0.99",
-            tolerance=0.99,
-            passed=frac >= 0.99,
-            samples=p["samples"],
-        )
-    )
-    res.rows.append(
-        _row(
-            "argmax-time-running-gradient-identity",
-            abs(stat.sigma - stat.riemann_sum),
-            reference=0.0,
-            tolerance=grid.step,
-            passed=abs(stat.sigma - stat.riemann_sum) <= grid.step,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _bound_row("argmax-time-fd-zero-fraction", frac, ">=0.99", samples=p["samples"]),
+        _row("argmax-time-running-gradient-identity", abs(stat.sigma - stat.riemann_sum),
+             reference=0.0, tolerance=grid.step),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +416,12 @@ def _run_lt_zero(p, seed, workers):
     horizon = p["horizon"]
     values = [density.lt_zero(t * horizon, horizon) for t in p["t_fracs"]]
     closed = density.lt_zero_closed(horizon)
-    spread = max(values) - min(values)
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "split-density-constancy",
-            spread,
-            reference=0.0,
-            tolerance=1e-10,
-            passed=spread <= 1e-10,
-        )
-    )
+    res = ExperimentResult([
+        _row("split-density-constancy", max(values) - min(values), reference=0.0,
+             tolerance=1e-10)
+    ])
     for t, v in zip(p["t_fracs"], values):
-        res.rows.append(
-            _row(
-                f"split-density-t{t}",
-                v,
-                reference=closed,
-                tolerance=1e-9,
-                passed=abs(v - closed) <= 1e-9,
-            )
-        )
+        res.rows.append(_row(f"split-density-t{t}", v, reference=closed, tolerance=1e-9))
     return res
 
 
@@ -558,61 +433,27 @@ def _run_lt_zero_mc(p, seed, workers):
     )
     ref = density.lt_zero(p["t_frac"] * p["horizon"], p["horizon"])
     est = kde.estimate_half
-    rel = abs(est.mean - ref) / ref
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "split-density-mc-vs-quadrature",
-            est.mean,
-            std_error=est.std_error,
-            reference=ref,
-            tolerance=0.02 * ref,
-            passed=rel <= 0.02,
-            samples=est.samples,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _row("split-density-mc-vs-quadrature", est.mean, std_error=est.std_error,
+             reference=ref, tolerance=0.02 * ref, samples=est.samples)
+    ])
 
 
 def _run_tv_bound(p, seed, workers):
     ns = sorted(p["n"])
     horizon = p["horizon"]
     rows = density.tv_bound_table(ns, horizon)
-    res = ExperimentResult()
     last, prev = rows[-1], rows[-2]
     drift = abs(last.total - prev.total) / last.total
-    res.rows.append(
-        _row(
-            f"bound-drift-n{prev.n}-to-n{last.n}",
-            drift,
-            reference="<0.01",
-            tolerance=0.01,
-            passed=drift < 0.01,
-        )
-    )
     decreasing = all(
         rows[i].boundary > rows[i + 1].boundary for i in range(len(rows) - 1)
     )
-    res.rows.append(
-        _row(
-            "boundary-remainder-decreasing",
-            decreasing,
-            reference=True,
-            tolerance=0.0,
-            passed=decreasing,
-        )
-    )
     scaled = density.tv_bound_discrete(last.n, 4.0 * horizon)
-    exact_scaling = scaled.total == 2.0 * last.total
-    res.rows.append(
-        _row(
-            "sqrt-horizon-scaling-exact",
-            exact_scaling,
-            reference=True,
-            tolerance=0.0,
-            passed=exact_scaling,
-        )
-    )
+    res = ExperimentResult([
+        _bound_row(f"bound-drift-n{prev.n}-to-n{last.n}", drift, "<0.01"),
+        _holds("boundary-remainder-decreasing", decreasing),
+        _holds("sqrt-horizon-scaling-exact", scaled.total == 2.0 * last.total),
+    ])
     res.series["bound"] = (
         ("n", "total", "boundary", "bulk"),
         [(r.n, r.total, r.boundary, r.bulk) for r in rows],
@@ -622,82 +463,32 @@ def _run_tv_bound(p, seed, workers):
 
 def _run_limit_integral(p, seed, workers):
     li = density.limit_integral()
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "limit-integral-value",
-            li.value,
-            reference=2.0 * math.pi,
-            tolerance=1e-6,
-            passed=abs(li.value - 2.0 * math.pi) <= 1e-6,
-        )
-    )
-    res.rows.append(
-        _row(
-            "limit-integral-error-estimate",
-            li.error_estimate,
-            reference="<1e-8",
-            tolerance=1e-8,
-            passed=li.error_estimate < 1e-8,
-        )
-    )
-    inner = density.inner_arcsine_integral(0.3)
-    res.rows.append(
-        _row(
-            "inner-integral-t0.3",
-            inner,
-            reference=math.pi,
-            tolerance=1e-8,
-            passed=abs(inner - math.pi) <= 1e-8,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _row("limit-integral-value", li.value, reference=2.0 * math.pi, tolerance=1e-6),
+        _bound_row("limit-integral-error-estimate", li.error_estimate, "<1e-8"),
+        _row("inner-integral-t0.3", density.inner_arcsine_integral(0.3),
+             reference=math.pi, tolerance=1e-8),
+    ])
 
 
 def _run_riemann(p, seed, workers):
-    value = density.limit_integral_riemann(p["n"])
     ref = 2.0 * math.pi
-    rel = abs(value - ref) / ref
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            f"riemann-sum-n{p['n']}",
-            value,
-            reference=ref,
-            tolerance=0.05 * ref,
-            passed=rel <= 0.05,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _row(f"riemann-sum-n{p['n']}", density.limit_integral_riemann(p["n"]),
+             reference=ref, tolerance=0.05 * ref)
+    ])
 
 
 def _run_asymptote(p, seed, workers):
-    res = ExperimentResult()
-    gaps = []
-    for n, bound in zip(p["n"], p["bounds"]):
-        a = density.asymptotic_match(n)
-        gaps.append(a)
-        res.rows.append(
-            _row(
-                f"stirling-gap-n{n}",
-                a.relative_gap,
-                reference=f"<{bound}",
-                tolerance=bound,
-                passed=a.relative_gap < bound,
-            )
-        )
+    gaps = [density.asymptotic_match(n) for n in p["n"]]
+    res = ExperimentResult([
+        _bound_row(f"stirling-gap-n{a.n}", a.relative_gap, f"<{bound}")
+        for a, bound in zip(gaps, p["bounds"])
+    ])
     decreasing = all(
         gaps[i].relative_gap > gaps[i + 1].relative_gap for i in range(len(gaps) - 1)
     )
-    res.rows.append(
-        _row(
-            "stirling-gap-decreasing",
-            decreasing,
-            reference=True,
-            tolerance=0.0,
-            passed=decreasing,
-        )
-    )
+    res.rows.append(_holds("stirling-gap-decreasing", decreasing))
     res.series["asymptote"] = (
         ("n", "scaled_value", "reference"),
         [(a.n, a.scaled_value, a.reference) for a in gaps],
@@ -706,19 +497,12 @@ def _run_asymptote(p, seed, workers):
 
 
 def _run_density_mass(p, seed, workers):
-    res = ExperimentResult()
-    for length in p["lengths"]:
-        curve = density.segment_max_curve(length)
-        res.rows.append(
-            _row(
-                f"segment-max-mass-L{length}",
-                curve.total_mass_check,
-                reference=1.0,
-                tolerance=1e-6,
-                passed=abs(curve.total_mass_check - 1.0) <= 1e-6,
-            )
-        )
-    return res
+    return ExperimentResult([
+        _row(f"segment-max-mass-L{length}",
+             density.segment_max_curve(length).total_mass_check,
+             reference=1.0, tolerance=1e-6)
+        for length in p["lengths"]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -728,45 +512,19 @@ def _run_density_mass(p, seed, workers):
 def _run_unique_max(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     ts = conc.unique_max_check(grid, p["samples"], seed, workers=workers)
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "exact-ties",
-            ts.ties,
-            reference=0,
-            tolerance=0.0,
-            passed=ts.ties == 0,
-            samples=ts.samples,
-        )
-    )
     monotone = all(
         ts.fractions[i] > ts.fractions[i + 1] for i in range(len(ts.fractions) - 1)
-    )
-    res.rows.append(
-        _row(
-            "small-gap-fractions-monotone",
-            monotone,
-            reference=True,
-            tolerance=0.0,
-            passed=monotone,
-            samples=ts.samples,
-        )
     )
     ratios_ok = all(
         ts.fractions[i + 1] < ts.fractions[i]
         and (ts.fractions[i] == 0.0 or ts.fractions[i + 1] / ts.fractions[i] < 1.0)
         for i in range(len(ts.fractions) - 1)
     )
-    res.rows.append(
-        _row(
-            "no-atom-at-zero-gap",
-            ratios_ok,
-            reference=True,
-            tolerance=0.0,
-            passed=ratios_ok,
-            samples=ts.samples,
-        )
-    )
+    res = ExperimentResult([
+        _row("exact-ties", ts.ties, reference=0, tolerance=0.0, samples=ts.samples),
+        _holds("small-gap-fractions-monotone", monotone, samples=ts.samples),
+        _holds("no-atom-at-zero-gap", ratios_ok, samples=ts.samples),
+    ])
     res.series["gap_fractions"] = (
         ("threshold", "fraction"),
         list(zip(ts.thresholds, ts.fractions)),
@@ -782,18 +540,10 @@ def _run_excess_ladder(p, seed, workers):
     ests = conc.excess_conditional_ladder(
         t_index, p["eps"] * scale, deltas, grid, p["samples"], seed, workers=workers
     )
-    res = ExperimentResult()
     decreasing = all(ests[i].mean > ests[i + 1].mean for i in range(len(ests) - 1))
-    res.rows.append(
-        _row(
-            "excess-fraction-strictly-decreasing",
-            decreasing,
-            reference=True,
-            tolerance=0.0,
-            passed=decreasing,
-            samples=ests[0].samples,
-        )
-    )
+    res = ExperimentResult([
+        _holds("excess-fraction-strictly-decreasing", decreasing, samples=ests[0].samples)
+    ])
     res.series["ladder"] = (
         ("delta", "fraction", "std_error"),
         [(d, e.mean, e.std_error) for d, e in zip(deltas, ests)],
@@ -809,52 +559,27 @@ def _run_double_max_ladder(p, seed, workers):
     summaries = conc.double_max_ladder(
         t_index, epss, p["delta"] * scale, grid, p["samples"], seed, workers=workers
     )
-    res = ExperimentResult()
     # summaries come back sorted by ascending eps, so a fraction that rises as
     # the window shrinks means strictly decreasing along the list
     increasing = all(
         summaries[i].both_fraction > summaries[i + 1].both_fraction
         for i in range(len(summaries) - 1)
     )
-    res.rows.append(
-        _row(
-            "both-excess-increases-as-eps-shrinks",
-            increasing,
-            reference=True,
-            tolerance=0.0,
-            passed=increasing,
-            samples=summaries[0].conditioned,
-        )
-    )
-    separated = all(s.argmax_separated for s in summaries)
-    res.rows.append(
-        _row(
-            "argmax-separation",
-            separated,
-            reference=True,
-            tolerance=0.0,
-            passed=separated,
-        )
-    )
     tight = summaries[0]
-    res.rows.append(
-        _row(
-            f"both-excess-regression-eps{p['epss'][0]}",
-            tight.both_fraction,
-            std_error=tight.std_error,
-            reference=">0.85",
-            tolerance=0.85,
-            passed=tight.both_fraction > 0.85,
-            samples=tight.conditioned,
-        )
-    )
+    res = ExperimentResult([
+        _holds("both-excess-increases-as-eps-shrinks", increasing,
+               samples=tight.conditioned),
+        _holds("argmax-separation", all(s.argmax_separated for s in summaries)),
+        _bound_row(f"both-excess-regression-eps{p['epss'][0]}", tight.both_fraction,
+                   ">0.85", std_error=tight.std_error, samples=tight.conditioned),
+    ])
     res.series["ladder"] = (
         ("eps", "conditioned", "both_fraction", "std_error"),
         [(s.eps, s.conditioned, s.both_fraction, s.std_error) for s in summaries],
     )
     res.series["scatter"] = (
         ("left_excess", "right_excess"),
-        [(float(a), float(b)) for a, b in summaries[0].scatter],
+        [(float(a), float(b)) for a, b in tight.scatter],
     )
     return res
 
@@ -898,33 +623,16 @@ def _run_worker_invariance(p, seed, workers):
     e1 = mc_run(statistic, samples, seed, workers=1)
     e8 = mc_run(statistic, samples, seed, workers=8)
     identical = e1 == e8
-    res = ExperimentResult()
-    res.rows.append(
-        _row(
-            "workers-1-vs-8-bit-identical",
-            identical,
-            reference=True,
-            tolerance=0.0,
-            passed=identical,
-            samples=samples,
-        )
-    )
     grid = TimeGrid(n, p["horizon"])
     walk = sample_walk(n, seed)
     path = sample_brownian(grid, seed)
     scaling = bool(
         np.array_equal(path.values, math.sqrt(grid.step) * walk.partial_sums)
     )
-    res.rows.append(
-        _row(
-            "brownian-equals-scaled-walk",
-            scaling,
-            reference=True,
-            tolerance=0.0,
-            passed=scaling,
-        )
-    )
-    return res
+    return ExperimentResult([
+        _holds("workers-1-vs-8-bit-identical", identical, samples=samples),
+        _holds("brownian-equals-scaled-walk", scaling),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1057,6 +765,7 @@ _register(
 _register(
     "density.lt_zero",
     _run_lt_zero,
+    coupled=_interior_fracs,
     horizon=Param(float, 1.0, positive=True),
     t_fracs=Param(_floats, (0.25, 0.5, 0.75)),
 )
@@ -1081,6 +790,7 @@ _register("density.riemann", _run_riemann, n=Param(int, 2000, minimum=3))
 _register(
     "density.asymptote",
     _run_asymptote,
+    coupled=_bound_per_n,
     n=Param(_ints, (10, 100, 1000), minimum=1),
     bounds=Param(_floats, (0.03, 0.003, 0.0003), positive=True),
 )
@@ -1162,18 +872,7 @@ def run_experiment(
     )
     result = op.run(params, seed, workers)
     result.rows = [
-        ResultRow(
-            experiment=spec.exp_id,
-            check=r.check,
-            value=r.value,
-            std_error=r.std_error,
-            reference=r.reference,
-            tolerance=r.tolerance,
-            passed=r.passed,
-            samples=r.samples,
-            seed=seed.label,
-            fingerprint=fingerprint,
-        )
+        replace(r, experiment=spec.exp_id, seed=seed.label, fingerprint=fingerprint)
         for r in result.rows
     ]
     return result

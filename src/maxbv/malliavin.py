@@ -751,20 +751,18 @@ class SigmaStat:
 
 
 def sigma_functional(path: DiscretePath) -> SigmaStat:
-    """sigma and its reconstruction as sum_i 1{sigma > t_i} * step.
+    """sigma and its reconstruction from the running gradient of the maximum,
+    D_t max W = 1{max over [0, t] < max over (t, T]}, summed over the left
+    nodes times the step.
 
-    The two agree to within one grid cell (exactly, on the grid, except for
-    endpoint rounding of the horizon).
+    The two should agree to within one grid cell (exactly, on the grid, except
+    for endpoint rounding of the horizon); the ``sigma_flat`` row checks it.
     """
-    sigma = sigma_time(path)
-    left_nodes = path.grid.times[:-1]
-    riemann = float((left_nodes < sigma).sum()) * path.grid.step
-    if abs(sigma - riemann) > path.grid.step:
-        raise AssertionError(
-            f"running-gradient reconstruction off by more than one cell: "
-            f"{sigma} vs {riemann}"
-        )
-    return SigmaStat(sigma=sigma, riemann_sum=riemann)
+    v = path.values
+    behind = np.maximum.accumulate(v)  # max of v[0..i]
+    ahead = np.maximum.accumulate(v[::-1])[::-1]  # max of v[i..n]
+    riemann = float((behind[:-1] < ahead[1:]).sum()) * path.grid.step
+    return SigmaStat(sigma=sigma_time(path), riemann_sum=riemann)
 
 
 def sigma_fd_zero_fraction(

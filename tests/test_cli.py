@@ -293,6 +293,16 @@ samples = 2000
         with pytest.raises(ConfigError, match="experiment:edge/n: must be >= 2"):
             load_config(config)
 
+    def test_empty_list_rejected(self, tmp_path, capsys):
+        # an empty list would run no check at all and exit 0
+        config = write(tmp_path, "[experiment:edge]\noperation = fluctuation.mc_halfline"
+                                 "\nn = ,\nsamples = 2000\n")
+        message = "experiment:edge/n: needs at least one value"
+        with pytest.raises(ConfigError, match=message):
+            load_config(config)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("body, message", [
         ("operation = malliavin.chain_vs_weak\nn = 20\nsamples = 2000",
          "experiment:edge/n: grid too coarse for 24 distinct interior nodes"),
@@ -308,6 +318,10 @@ samples = 2000
          "experiment:edge/t_frac: round(t_frac * n) = 10 is not an interior node"),
         ("operation = density.lt_zero_mc\nn = 4\nt_frac = 1.5\nsamples = 2000",
          "experiment:edge/t_frac: round(t_frac * n) = 6 is not an interior node"),
+        ("operation = density.lt_zero\nt_fracs = 0.5,1.5",
+         "experiment:edge/t_fracs: every value must lie in (0, 1)"),
+        ("operation = density.asymptote\nn = 10,100\nbounds = 0.03",
+         "experiment:edge/bounds: needs one value per n: 2, got 1"),
     ])
     def test_coupled_parameters(self, tmp_path, capsys, body, message):
         # each value passes its own range check; together they cannot run
@@ -352,23 +366,50 @@ def base_params(op):
     }
 
 
-def coupled_violation(draw, op):
-    """(params, field the check names) that pass every per-field check and
-    fail ``op.coupled``."""
-    check = op.coupled.__name__
-    if check == "_interior_split":
-        n = draw(st.integers(2, 50))
-        low = st.floats(-10.0, 0.49 / n)
-        high = st.floats((n - 0.49) / n, 10.0)
-        return {"n": str(n), "t_frac": repr(draw(st.one_of(low, high)))}, "t_frac"
-    if check == "_distinct_split_nodes":
-        # a grid of n steps has n - 1 interior nodes
-        n = draw(st.integers(2, 60))
-        return {"n": str(n), "nodes": str(draw(st.integers(n, n + 60)))}, "n"
-    if check == "_two_distinct_n":
-        value = str(draw(st.integers(3, 5000)))
-        return {"n": ",".join([value] * draw(st.integers(1, 3)))}, "n"
-    raise AssertionError(f"no generator for the coupled check {check}")
+def _off_interior_t_frac(draw):
+    n = draw(st.integers(2, 50))
+    low = st.floats(-10.0, 0.49 / n)
+    high = st.floats((n - 0.49) / n, 10.0)
+    return {"n": str(n), "t_frac": repr(draw(st.one_of(low, high)))}, "t_frac"
+
+
+def _too_few_split_nodes(draw):
+    # a grid of n steps has n - 1 interior nodes
+    n = draw(st.integers(2, 60))
+    return {"n": str(n), "nodes": str(draw(st.integers(n, n + 60)))}, "n"
+
+
+def _one_distinct_n(draw):
+    value = str(draw(st.integers(3, 5000)))
+    return {"n": ",".join([value] * draw(st.integers(1, 3)))}, "n"
+
+
+def _t_fracs_off_interior(draw):
+    fracs = draw(st.lists(st.floats(0.01, 0.99), max_size=3))
+    off = draw(st.one_of(st.floats(-10.0, 0.0), st.floats(1.0, 10.0)))
+    fracs.insert(draw(st.integers(0, len(fracs))), off)
+    return {"t_fracs": ",".join(map(repr, fracs))}, "t_fracs"
+
+
+def _bounds_not_one_per_n(draw):
+    n = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=4))
+    count = draw(st.integers(1, 4).filter(lambda k: k != len(n)))
+    bounds = draw(st.lists(st.floats(1e-6, 1.0), min_size=count, max_size=count))
+    return {"n": ",".join(map(str, n)), "bounds": ",".join(map(repr, bounds))}, "bounds"
+
+
+#: For each operation with parameters that are valid alone but not together,
+#: a generator of (params, field the error names) that pass every per-field
+#: check and violate the coupling.
+COUPLED_VIOLATIONS = {
+    "concentration.double_max_ladder": _off_interior_t_frac,
+    "concentration.excess_ladder": _off_interior_t_frac,
+    "density.lt_zero_mc": _off_interior_t_frac,
+    "malliavin.chain_vs_weak": _too_few_split_nodes,
+    "density.tv_bound": _one_distinct_n,
+    "density.lt_zero": _t_fracs_off_interior,
+    "density.asymptote": _bounds_not_one_per_n,
+}
 
 
 @st.composite
@@ -383,11 +424,14 @@ def broken_configs(draw):
         k for k, p in op.params.items() if p.minimum is not None or p.positive
     )
     floats = sorted(k for k, p in op.params.items() if p.cast in FLOAT_CASTS)
+    lists = sorted(k for k, p in op.params.items() if p.cast in (_ints, _floats))
     kinds = ["unknown key"] + [
         kind for kind, fields in
         (("wrong type", numeric), ("<= 0", checked), ("nan", floats)) if fields
     ]
-    if op.coupled is not None:
+    if lists:
+        kinds.append("empty list")
+    if name in COUPLED_VIOLATIONS:
         kinds.append("coupled")
     kind = draw(st.sampled_from(kinds))
     if kind == "unknown key":
@@ -397,8 +441,11 @@ def broken_configs(draw):
             )
         )
         params[field] = "1"
+    elif kind == "empty list":
+        field = draw(st.sampled_from(lists))
+        params[field] = draw(st.sampled_from(["", ",", " , ,"]))
     elif kind == "coupled":
-        broken, field = coupled_violation(draw, op)
+        broken, field = COUPLED_VIOLATIONS[name](draw)
         params.update(broken)
     else:
         field = draw(st.sampled_from({"wrong type": numeric, "<= 0": checked,
@@ -433,6 +480,10 @@ def config_text(exp_id, operation, params):
 class TestConfigFuzz:
     """Each registry operation, with one field broken, fails in
     ``load_config`` with a ConfigError naming that field; no experiment runs."""
+
+    def test_every_coupled_check_has_a_generator(self):
+        coupled = {name for name, op in OPERATIONS.items() if op.coupled is not None}
+        assert coupled == set(COUPLED_VIOLATIONS)
 
     @pytest.mark.parametrize("operation", sorted(OPERATIONS))
     def test_base_config_loads(self, tmp_path, operation):

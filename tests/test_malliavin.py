@@ -390,3 +390,19 @@ class TestSigma:
     def test_fd_zero_fraction(self):
         frac = sigma_fd_zero_fraction(GRID, 500, SEED, FDConfig(eps=1e-6))
         assert frac >= 0.99
+
+    def test_gradient_identity_row_fails_when_sigma_is_off(self, monkeypatch):
+        # the row is the check: a sigma two cells late must read FAIL
+        spec = ExperimentSpec("sigma", "malliavin.sigma_flat",
+                              dict(n=100, samples=200, eps=1e-6), 3)
+
+        def identity_row():
+            rows = run_experiment(spec, 5150).rows
+            return next(r for r in rows if r.check == "argmax-time-running-gradient-identity")
+
+        assert identity_row().passed is True
+        step = TimeGrid(100, 1.0).step
+        monkeypatch.setattr(malliavin, "sigma_time", lambda path: sigma_time(path) + 2 * step)
+        row = identity_row()
+        assert row.passed is False
+        assert row.value > row.tolerance
