@@ -2,10 +2,10 @@
 
 The exact layer works in arbitrary-precision rationals: the stay-below
 probability P(W_1 <= 0, ..., W_n <= 0) = C(2n,n)/4^n for symmetric
-continuous increments (Sparre Andersen), its generating function
-(1-t)^(-1/2), and the bridge identity P(stay below | W_n = 0) = 1/n.
-The Monte Carlo layer checks the same quantities on sampled walks and
-bridges, including the cyclic-symmetry consequence that the bridge argmax
+continuous increments (Sparre Andersen) and its generating function
+(1-t)^(-1/2).  The Monte Carlo layer checks the same quantities on sampled
+walks, the bridge identity P(stay below | W_n = 0) = 1/n on sampled
+bridges, and its cyclic-symmetry consequence that the bridge argmax
 position is uniform.
 
 The stay-below estimates step each walk or bridge one node at a time and
@@ -57,13 +57,6 @@ def halfline_prob_float(n: int) -> float:
         return float(halfline_prob_exact(n))
     log_p = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - n * math.log(4.0)
     return math.exp(log_p)
-
-
-def bridge_stay_prob_exact(n: int) -> Fraction:
-    """P(bridge of length n stays <= 0) = 1/n, exactly."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Fraction(1, n)
 
 
 @dataclass(frozen=True)

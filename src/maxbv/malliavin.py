@@ -10,8 +10,10 @@ Four layers of machinery around the running maximum M:
 - exact second Skorokhod adjoints of catalog functionals, giving the double
   integration-by-parts estimator for the measure pairing of the second
   derivative of M;
-- a kernel-conditioned estimator of the split-point disintegration of that
-  pairing, for cross-checking the two routes.
+- one kernel-conditioned estimator of the split-point disintegration of
+  that pairing (:class:`SplitKernel`): integrated over split times and
+  paired path by path with the weak route, or at one node with y = 1 as the
+  split-gap density.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .paths import (
     Direction,
     DiscretePath,
     TimeGrid,
-    bump,
     direction_catalog,
     direction_inner,
     running_max,
@@ -45,7 +46,6 @@ from .sampling import (
     mc_collect,
     mc_run,
     mc_run_many,
-    moment_estimate,
 )
 
 #: Multiple of machine epsilon below which a 4-term alternating sum of
@@ -69,27 +69,19 @@ class FDConfig:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel conditioning at a target value (0 for the split-point gap).
+    """Triangular-kernel conditioning of the split gap at 0.
 
-    ``bandwidth=None`` selects samples^(-1/5) * std of the conditioning
-    variable, estimated from a deterministic pilot stream.
+    ``bandwidth=None`` selects the pilot bandwidth of :class:`SplitKernel`.
     """
 
     bandwidth: float | None = None
-    kernel: str = "triangular"
-    target: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.kernel not in ("triangular", "gaussian"):
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
 
     def weights(self, x: np.ndarray, bandwidth: float) -> np.ndarray:
-        z = (x - self.target) / bandwidth
-        if self.kernel == "triangular":
-            return np.maximum(0.0, 1.0 - np.abs(z)) / bandwidth
-        return np.exp(-0.5 * z * z) / (bandwidth * math.sqrt(2.0 * math.pi))
+        return np.maximum(0.0, 1.0 - np.abs(x / bandwidth)) / bandwidth
 
 
 def path_maximum(path: DiscretePath) -> float:
@@ -104,20 +96,6 @@ def sigma_time(path: DiscretePath) -> float:
 # ---------------------------------------------------------------------------
 # Pointwise finite differences
 # ---------------------------------------------------------------------------
-
-def fd_directional(
-    F: Callable[[DiscretePath], float],
-    path: DiscretePath,
-    h: Direction,
-    cfg: FDConfig,
-) -> float:
-    """Central difference (F(w + eps h) - F(w - eps h)) / (2 eps)."""
-    up = F(bump(path, h, cfg.eps))
-    down = F(bump(path, h, -cfg.eps))
-    if not (math.isfinite(up) and math.isfinite(down)):
-        raise ArithmeticError(f"functional returned non-finite values: {up}, {down}")
-    return (up - down) / (2.0 * cfg.eps)
-
 
 def fd_second(
     F: Callable[[DiscretePath], float],
@@ -372,12 +350,6 @@ def second_adjoint_batch(
     return dd - dk * integral_h - gv * inner - integral_k * (dh - gv * integral_h)
 
 
-def skorokhod_second_adjoint(
-    g: CylindricalFunction, k: Direction, h: Direction, path: DiscretePath
-) -> float:
-    return float(second_adjoint_batch(g, k, h, path.values))
-
-
 def adjoint2_means(
     pairs: Sequence[tuple[CylindricalFunction, CylindricalFunction | None]],
     k: Direction,
@@ -405,22 +377,6 @@ def adjoint2_means(
         return rows
 
     return mc_run_many(statistic, samples, seed, workers=workers)
-
-
-def adjoint2_mean(
-    g: CylindricalFunction,
-    k: Direction,
-    h: Direction,
-    grid: TimeGrid,
-    samples: int,
-    seed: SeedSpec,
-    *,
-    weight: CylindricalFunction | None = None,
-    workers: int = 1,
-) -> MCEstimate:
-    """The one-pair case of :func:`adjoint2_means`."""
-    (est,) = adjoint2_means([(g, weight)], k, h, grid, samples, seed, workers=workers)
-    return est
 
 
 def _weak_values(
@@ -473,82 +429,6 @@ _PILOT_COUNT = 4096
 _PILOT_BRANCH = 10_000  # pilot stream id, disjoint from mc substreams
 
 
-def _auto_bandwidth(
-    deltas_of: Callable[[np.ndarray], np.ndarray],
-    grid: TimeGrid,
-    samples: int,
-    seed: SeedSpec,
-) -> float:
-    rng = seed.generator(_PILOT_BRANCH)
-    values = brownian_values_batch(rng, _PILOT_COUNT, grid)
-    sd = float(np.std(deltas_of(values)))
-    return samples ** (-0.2) * sd
-
-
-def chain_max_estimator(
-    g: CylindricalFunction,
-    h: Direction,
-    t_index: int,
-    grid: TimeGrid,
-    kcfg: KernelConfig,
-    samples: int,
-    seed: SeedSpec,
-    *,
-    workers: int = 1,
-) -> ChainMaxEstimate:
-    """Unnormalized kernel estimate of the split-point disintegration at t:
-
-        mean of g(w) * [h(argmax time on [t, T]) - h(argmax time on [0, t])]
-                     * K_b(split gap),
-
-    which targets (density of the gap at 0) times the conditional mean given
-    a zero gap.  Returned together with the half-bandwidth estimate as a
-    bias diagnostic.
-    """
-    if not (0 < t_index < grid.n):
-        raise ValueError("t_index must be an interior grid node")
-    def deltas_of(values: np.ndarray) -> np.ndarray:
-        max_l, _, max_r, _ = segment_split_stats(values, t_index)
-        return max_r - max_l
-
-    b = kcfg.bandwidth
-    if b is None:
-        b = _auto_bandwidth(deltas_of, grid, samples, seed)
-    hp = h.primitive
-
-    def task(rng: np.random.Generator, count: int):
-        values = brownian_values_batch(rng, count, grid)
-        max_l, arg_l, max_r, arg_r = segment_split_stats(values, t_index)
-        delta = max_r - max_l
-        y = g.value(values) * (hp[arg_r] - hp[arg_l])
-        xb = y * kcfg.weights(delta, b)
-        xh = y * kcfg.weights(delta, b / 2.0)
-        eff = int((np.abs(delta - kcfg.target) <= b).sum())
-        return np.array(
-            [count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh), eff]
-        )
-
-    acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    est, est_half = _two_moment_estimates(acc, seed)
-    eff = int(acc[5])
-    if eff < 100:
-        raise InsufficientSamplesError(
-            f"bandwidth {b:.3g} left only {eff} effective samples"
-        )
-    return ChainMaxEstimate(
-        estimate=est, estimate_half=est_half, bandwidth=b, effective_samples=eff
-    )
-
-
-def _two_moment_estimates(acc: np.ndarray, seed: SeedSpec):
-    """The bandwidth-b and b/2 estimates from a kernel accumulator
-    [count, s1(b), s2(b), s1(b/2), s2(b/2), effective]."""
-    return (
-        moment_estimate(acc[0], acc[1], acc[2], seed),
-        moment_estimate(acc[0], acc[3], acc[4], seed),
-    )
-
-
 def split_nodes(n: int, nodes: int) -> np.ndarray:
     """The split nodes of the integrated route: the interior grid indices
     nearest the midpoints of ``nodes`` equal cells of [0, n], which must be
@@ -562,91 +442,62 @@ def split_nodes(n: int, nodes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _SplitQuadrature:
-    """The integrated split-point route of :func:`chain_max_integrated`:
-    interior split nodes, their midpoint weights h'(t) dt, and the kernel
-    bandwidth."""
+class SplitKernel:
+    """The kernel-conditioned split-point estimator: per path, the sum over
+    split nodes t of
 
-    g: CylindricalFunction
-    k: Direction
+        node_weight(t) * y(w, t) * K_b(max over [t, T] - max over [0, t]),
+
+    which targets the split-gap density at 0 times the conditional mean of y
+    given a zero gap, integrated against the node weights.  It is reported
+    at b and at b/2, and with the in-window count |gap| <= b of the
+    least-covered node.  ``bandwidth`` is ``kcfg.bandwidth`` or, when that
+    is unset, samples^(-1/5) times the std of the gap at the middle node,
+    estimated from a deterministic pilot stream.
+    """
+
     kcfg: KernelConfig
     t_idx: np.ndarray
     node_weight: np.ndarray
     bandwidth: float
 
     @classmethod
-    def build(cls, g, k, h, grid, kcfg, samples, seed, nodes) -> _SplitQuadrature:
-        t_idx = split_nodes(grid.n, nodes)
+    def build(cls, grid, t_idx, node_weight, kcfg, samples, seed) -> SplitKernel:
         b = kcfg.bandwidth
         if b is None:
-            mid = int(t_idx[len(t_idx) // 2])
+            pilot = brownian_values_batch(seed.generator(_PILOT_BRANCH), _PILOT_COUNT, grid)
+            max_l, _, max_r, _ = segment_split_stats(pilot, int(t_idx[len(t_idx) // 2]))
+            b = samples ** (-0.2) * float(np.std(max_r - max_l))
+        return cls(kcfg, np.asarray(t_idx), np.asarray(node_weight, dtype=float), b)
 
-            def mid_deltas(values: np.ndarray) -> np.ndarray:
-                max_l, _, max_r, _ = segment_split_stats(values, mid)
-                return max_r - max_l
-
-            b = _auto_bandwidth(mid_deltas, grid, samples, seed)
-        node_weight = h.density[t_idx] * (grid.horizon / nodes)
-        return cls(g, k, kcfg, t_idx, node_weight, b)
-
-    def per_path(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Per-path values at bandwidths b and b/2 on one chunk, and the
-        chunk's effective-sample count at the least-covered node."""
-        kp, kcfg, b = self.k.primitive, self.kcfg, self.bandwidth
+    def rows(
+        self,
+        values: np.ndarray,
+        y: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """(2 + nodes, count) sample rows on one chunk: the estimate at b,
+        at b/2, then one in-window indicator row per node.  ``y(fwd_arg,
+        bwd_arg)`` maps the (count, nodes) argmax tables of
+        :func:`split_tables` to the conditioned values; None means y = 1."""
         fwd_max, fwd_arg, bwd_max, bwd_arg = split_tables(values, self.t_idx)
         delta = bwd_max - fwd_max  # (count, nodes), column-major like the tables
-        y = self.g.value(values)[:, None] * (kp[bwd_arg] - kp[fwd_arg])
-        xb = (y * kcfg.weights(delta, b)) @ self.node_weight
-        xh = (y * kcfg.weights(delta, b / 2.0)) @ self.node_weight
-        # per-chunk minimum over nodes; summing chunk minima lower-bounds the
-        # true per-node total, so the flag in ``estimate`` stays conservative
-        eff = int((np.abs(delta - kcfg.target) <= b).sum(axis=0).min())
-        return xb, xh, eff
+        yv = 1.0 if y is None else y(fwd_arg, bwd_arg)
+        b = self.bandwidth
+        xb = (yv * self.kcfg.weights(delta, b)) @ self.node_weight
+        xh = (yv * self.kcfg.weights(delta, b / 2.0)) @ self.node_weight
+        return np.vstack((xb, xh, (np.abs(delta) <= b).T))
 
-    def estimate(self, acc: np.ndarray, seed: SeedSpec) -> ChainMaxEstimate:
-        """The estimate from an accumulator [count, s1(b), s2(b), s1(b/2),
-        s2(b/2), effective]."""
-        est, est_half = _two_moment_estimates(acc, seed)
-        eff = int(acc[5])
+    def estimate(self, moments: Sequence[MCEstimate]) -> ChainMaxEstimate:
+        """The estimate from the :func:`mc_run_many` results of :meth:`rows`;
+        fewer than 100 in-window paths at any node is an error."""
+        est, est_half, *inside = moments
+        eff = min(round(m.mean * m.samples) for m in inside)
         if eff < 100:
             raise InsufficientSamplesError(
                 f"bandwidth {self.bandwidth:.3g} left only {eff} effective "
                 f"samples at the least-covered node"
             )
-        return ChainMaxEstimate(
-            estimate=est, estimate_half=est_half, bandwidth=self.bandwidth,
-            effective_samples=eff,
-        )
-
-
-def chain_max_integrated(
-    g: CylindricalFunction,
-    k: Direction,
-    h: Direction,
-    grid: TimeGrid,
-    kcfg: KernelConfig,
-    samples: int,
-    seed: SeedSpec,
-    *,
-    nodes: int = 24,
-    workers: int = 1,
-) -> ChainMaxEstimate:
-    """Midpoint-rule integral over split times of the kernel estimator,
-    weighted by h', with the k-primitive inside the conditional mean.
-
-    Estimates the same measure pairing as :func:`d2m_weak_estimator`, by the
-    split-point disintegration route.  All quadrature nodes are interior.
-    """
-    route = _SplitQuadrature.build(g, k, h, grid, kcfg, samples, seed, nodes)
-
-    def task(rng: np.random.Generator, count: int):
-        xb, xh, eff = route.per_path(brownian_values_batch(rng, count, grid))
-        return np.array(
-            [count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh), eff]
-        )
-
-    acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    return route.estimate(acc, seed)
+        return ChainMaxEstimate(est, est_half, self.bandwidth, eff)
 
 
 def chain_vs_weak_paired(
@@ -661,34 +512,33 @@ def chain_vs_weak_paired(
     nodes: int = 24,
     workers: int = 1,
 ) -> tuple[MCEstimate, ChainMaxEstimate, MCEstimate]:
-    """Both routes to the measure pairing on common paths: the
-    double integration-by-parts estimate, the integrated split-point
-    estimate, and the estimate of their per-path difference
-    weak - chain(b/2).
+    """Both routes to the measure pairing on common paths: the double
+    integration-by-parts estimate, the split-point estimate, and the
+    estimate of their per-path difference weak - chain(b/2).
 
-    Each chunk is drawn once and serves both routes.  The first two results
-    are bit-identical to :func:`d2m_weak_estimator` and
-    :func:`chain_max_integrated` on the same ``seed``.  The two routes are
+    The split-point route is the midpoint rule over ``nodes`` interior split
+    times of :class:`SplitKernel`, weighted by h', with y = g * (k-primitive
+    at the right argmax - at the left argmax); ``nodes=1`` is the estimate
+    at the one node nearest T/2.  The weak estimate is bit-identical to
+    :func:`d2m_weak_estimator` on the same ``seed``.  The two routes are
     correlated path by path, so compare them by the difference's standard
     error, not by combining their separate standard errors.
     """
-    route = _SplitQuadrature.build(g, k, h, grid, kcfg, samples, seed, nodes)
+    t_idx = split_nodes(grid.n, nodes)
+    kernel = SplitKernel.build(
+        grid, t_idx, h.density[t_idx] * (grid.horizon / nodes), kcfg, samples, seed
+    )
+    kp = k.primitive
 
-    def task(rng: np.random.Generator, count: int):
+    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
         values = brownian_values_batch(rng, count, grid)
         weak = _weak_values(g, k, h, values)
-        xb, xh, eff = route.per_path(values)
-        d = weak - xh
-        return np.array([
-            count, weak.sum(), np.dot(weak, weak), xb.sum(), np.dot(xb, xb),
-            xh.sum(), np.dot(xh, xh), d.sum(), np.dot(d, d), eff,
-        ])
+        gv = g.value(values)[:, None]
+        split = kernel.rows(values, lambda fwd, bwd: gv * (kp[bwd] - kp[fwd]))
+        return np.vstack((weak, split[:2], weak - split[1], split[2:]))
 
-    acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    weak = moment_estimate(acc[0], acc[1], acc[2], seed)
-    chain = route.estimate(acc[[0, 3, 4, 5, 6, 9]], seed)
-    diff = moment_estimate(acc[0], acc[7], acc[8], seed)
-    return weak, chain, diff
+    weak, xb, xh, diff, *inside = mc_run_many(statistic, samples, seed, workers=workers)
+    return weak, kernel.estimate([xb, xh, *inside]), diff
 
 
 def split_gap_density_mc(
@@ -700,42 +550,18 @@ def split_gap_density_mc(
     *,
     workers: int = 1,
 ) -> ChainMaxEstimate:
-    """Kernel density estimate at the target of the split gap max[t,T]-max[0,t].
-
-    The g = 1, h-free special case of the kernel machinery: mean of
-    K_b(gap), reported at b and b/2.  Cross-checks the quadrature density.
+    """Kernel density estimate at 0 of the split gap max[t,T]-max[0,t]: the
+    one-node, y = 1 case of :class:`SplitKernel`, reported at b and b/2.
+    Cross-checks the quadrature density.
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
+    kernel = SplitKernel.build(grid, [t_index], [1.0], kcfg, samples, seed)
 
-    def deltas_of(values: np.ndarray) -> np.ndarray:
-        max_l, _, max_r, _ = segment_split_stats(values, t_index)
-        return max_r - max_l
+    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
+        return kernel.rows(brownian_values_batch(rng, count, grid))
 
-    b = kcfg.bandwidth
-    if b is None:
-        b = _auto_bandwidth(deltas_of, grid, samples, seed)
-
-    def task(rng: np.random.Generator, count: int):
-        values = brownian_values_batch(rng, count, grid)
-        delta = deltas_of(values)
-        xb = kcfg.weights(delta, b)
-        xh = kcfg.weights(delta, b / 2.0)
-        eff = int((np.abs(delta - kcfg.target) <= b).sum())
-        return np.array(
-            [count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh), eff]
-        )
-
-    acc = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    est, est_half = _two_moment_estimates(acc, seed)
-    eff = int(acc[5])
-    if eff < 100:
-        raise InsufficientSamplesError(
-            f"bandwidth {b:.3g} left only {eff} effective samples"
-        )
-    return ChainMaxEstimate(
-        estimate=est, estimate_half=est_half, bandwidth=b, effective_samples=eff
-    )
+    return kernel.estimate(mc_run_many(statistic, samples, seed, workers=workers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,114 @@
+"""The public surface of ``src/maxbv`` holds no name that only tests use.
+
+A public top-level function or class must be referenced from another
+module under ``src/maxbv``, from a ``perfbench`` file, or from
+``maxbv.__all__``.  Names that serve only their own module (result types,
+helpers of one estimator, subcommand handlers) are listed below with the
+reason they stay public.  A helper that nothing outside the tests calls
+belongs in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import maxbv
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "maxbv").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+_RESULT = "result type returned by a public function of its module"
+_HELPER = "helper of its own module's estimators, also a test oracle"
+
+ALLOWED = {
+    "cli.cmd_run": "subcommand handler, bound by main's argument parser",
+    "cli.cmd_verify": "subcommand handler, bound by main's argument parser",
+    "cli.cmd_report": "subcommand handler, bound by main's argument parser",
+    "cli.reproducibility_check": "criterion 14's CSV byte-identity hook",
+    "concentration.TieStats": _RESULT,
+    "concentration.DoubleMaxSummary": _RESULT,
+    "cylindrical.PolynomialOuter": "outer function of the catalog entries",
+    "cylindrical.GaussianBumpOuter": "outer function of the catalog entries",
+    "cylindrical.SigmoidProductOuter": "outer function of the catalog entries",
+    "cylindrical.adjoint_apply_batch": "batch form of the exported adjoint_apply",
+    "density.segment_max_density": _HELPER,
+    "density.DensityCurve": _RESULT,
+    "density.TVBoundRow": _RESULT,
+    "density.QuadratureValue": _RESULT,
+    "density.AsymptoticGap": _RESULT,
+    "experiments.Param": "parameter schema of the experiment registry",
+    "experiments.OpSpec": "entry type of the experiment registry",
+    "experiments.Criterion": "entry type of acceptance_criteria",
+    "fluctuation.SeriesCoefficients": _RESULT,
+    "fluctuation.chi_square_sf": _HELPER,
+    "fluctuation.ArgmaxHistogram": _RESULT,
+    "malliavin.path_maximum": _HELPER,
+    "malliavin.sigma_time": _HELPER,
+    "malliavin.fd_second": _HELPER,
+    "malliavin.tie_exclusion_threshold": _HELPER,
+    "malliavin.two_peak_path": _HELPER,
+    "malliavin.separating_direction": _HELPER,
+    "malliavin.GradMaxReport": _RESULT,
+    "malliavin.ChainMaxEstimate": _RESULT,
+    "malliavin.SplitKernel": "the split-point estimator behind two public routes",
+    "malliavin.SigmaStat": _RESULT,
+    "perimeter.SurfaceMeasureEstimate": _RESULT,
+    "sampling.stream_counts": "the substream plan of mc_collect",
+}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _public_definitions(path: Path) -> list[str]:
+    return [
+        node.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def unreferenced_public_names(src=SRC) -> set[str]:
+    """module.name of every public definition that no other src module, no
+    perfbench file and not ``maxbv.__all__`` refers to."""
+    refs = {path: _referenced_names(path) for path in src + BENCH}
+    out = set()
+    for path in src:
+        for name in _public_definitions(path):
+            used = any(name in names for other, names in refs.items() if other != path)
+            if not used and name not in maxbv.__all__:
+                out.add(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    unlisted = sorted(unreferenced_public_names() - ALLOWED.keys())
+    assert not unlisted, (
+        f"public names referenced only by their own module or the tests: "
+        f"{unlisted}; move test-only helpers into the tests, or list the "
+        f"name in ALLOWED with the reason it stays public"
+    )
+
+
+def test_allowlist_has_no_stale_entries():
+    stale = sorted(ALLOWED.keys() - unreferenced_public_names())
+    assert not stale, f"ALLOWED names that are gone or now used elsewhere: {stale}"
+
+
+def test_scan_flags_a_test_only_helper(tmp_path):
+    # a module-level function that nothing in src or perfbench refers to
+    extra = tmp_path / "orphan.py"
+    extra.write_text("def only_tests_call_me():\n    return 1\n")
+    assert unreferenced_public_names(SRC + [extra]) - unreferenced_public_names() == {
+        "orphan.only_tests_call_me"
+    }

@@ -11,7 +11,6 @@ from maxbv.fluctuation import (
     _argmax_census,
     andersen_series_check,
     bridge_argmax_histogram,
-    bridge_stay_prob_exact,
     chi_square_sf,
     halfline_prob_exact,
     halfline_prob_float,
@@ -47,13 +46,6 @@ class TestExact:
         for n in (1, 64, 65, 80, 200):
             exact = float(Fraction(halfline_prob_exact(n)))
             assert halfline_prob_float(n) == pytest.approx(exact, rel=1e-12)
-
-    def test_bridge_stay_exact(self):
-        assert bridge_stay_prob_exact(1) == 1
-        assert bridge_stay_prob_exact(2) == Fraction(1, 2)
-        assert bridge_stay_prob_exact(10) == Fraction(1, 10)
-        with pytest.raises(ValueError):
-            bridge_stay_prob_exact(0)
 
 
 class TestSeries:

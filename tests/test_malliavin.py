@@ -11,13 +11,9 @@ from maxbv.errors import InsufficientSamplesError
 from maxbv.malliavin import (
     FDConfig,
     KernelConfig,
-    adjoint2_mean,
     adjoint2_means,
-    chain_max_estimator,
-    chain_max_integrated,
     chain_vs_weak_paired,
     d2m_weak_estimator,
-    fd_directional,
     fd_second,
     path_maximum,
     second_adjoint_batch,
@@ -26,7 +22,6 @@ from maxbv.malliavin import (
     sigma_fd_zero_fraction,
     sigma_functional,
     sigma_time,
-    skorokhod_second_adjoint,
     split_gap_density_mc,
     tied_peak_second_differences,
     two_peak_path,
@@ -38,6 +33,7 @@ from maxbv.paths import (
     Direction,
     DiscretePath,
     TimeGrid,
+    bump,
     direction_inner,
     running_max_tables,
     wiener_integral,
@@ -51,6 +47,14 @@ CFG = FDConfig(eps=1e-5)
 
 def brownian(stream=0, grid=GRID):
     return sample_brownian(grid, SeedSpec(5150, stream))
+
+
+def fd_directional(F, path, h, cfg):
+    """Central difference (F(w + eps h) - F(w - eps h)) / (2 eps): the
+    oracle of the gradient identity."""
+    up = F(bump(path, h, cfg.eps))
+    down = F(bump(path, h, -cfg.eps))
+    return (up - down) / (2.0 * cfg.eps)
 
 
 class TestFDDirectional:
@@ -139,7 +143,7 @@ class TestSecondAdjoint:
         path = brownian(7)
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
-        val = skorokhod_second_adjoint(constant_one(GRID), k, h, path)
+        val = float(second_adjoint_batch(constant_one(GRID), k, h, path.values))
         expected = wiener_integral(k, path) * wiener_integral(h, path) - direction_inner(
             k, h
         )
@@ -150,15 +154,15 @@ class TestSecondAdjoint:
         g = catalog_entry(GRID, ident)
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
-        est = adjoint2_mean(g, k, h, GRID, 50_000, SeedSpec(5150, 8))
+        (est,) = adjoint2_means([(g, None)], k, h, GRID, 50_000, SeedSpec(5150, 8))
         assert est.within(0.0), (ident, est.mean, est.std_error)
 
     def test_weighted_by_coordinate_mean_zero(self):
         h = Direction.constant(GRID)
         k = Direction.constant(GRID)
-        est = adjoint2_mean(
-            constant_one(GRID), k, h, GRID, 50_000, SeedSpec(5150, 9),
-            weight=catalog_entry(GRID, "coord"),
+        (est,) = adjoint2_means(
+            [(constant_one(GRID), catalog_entry(GRID, "coord"))], k, h, GRID, 50_000,
+            SeedSpec(5150, 9),
         )
         assert est.within(0.0)
 
@@ -171,12 +175,12 @@ class TestSecondAdjoint:
         seed = SeedSpec(5150, 23)
         many = adjoint2_means(pairs, k, h, GRID, 3_000, seed, workers=2)
         for (g, weight), est in zip(pairs, many):
-            assert est == adjoint2_mean(g, k, h, GRID, 3_000, seed, weight=weight)
+            assert [est] == adjoint2_means([(g, weight)], k, h, GRID, 3_000, seed)
 
     def test_disjoint_zero_densities(self):
         path = brownian(10)
         zero = Direction(GRID, np.zeros(GRID.n), label="null")
-        val = skorokhod_second_adjoint(constant_one(GRID), zero, zero, path)
+        val = float(second_adjoint_batch(constant_one(GRID), zero, zero, path.values))
         assert val == 0.0
 
 
@@ -201,49 +205,37 @@ class TestWeakEstimator:
         assert abs(e1.mean - e2.mean) <= 3 * comb
 
 
+def chain_at_midpoint(k, kcfg, samples, seed):
+    """The split-point estimate of g = 1 at the single node t = T/2, with
+    unit node weight."""
+    h = Direction.constant(GRID)
+    return chain_vs_weak_paired(constant_one(GRID), k, h, GRID, kcfg, samples, seed,
+                                nodes=1)[1]
+
+
 class TestChainMax:
     def test_positive_for_unit_direction(self):
         # argmax times are ordered across the split, so the estimand is > 0
-        ch = chain_max_estimator(
-            constant_one(GRID), Direction.constant(GRID), GRID.n // 2, GRID,
-            KernelConfig(), 50_000, SeedSpec(5150, 14),
-        )
+        ch = chain_at_midpoint(Direction.constant(GRID), KernelConfig(), 50_000,
+                               SeedSpec(5150, 14))
         assert ch.estimate.mean - 3 * ch.estimate.std_error > 0
         assert ch.effective_samples >= 100
 
     def test_zero_density_direction_gives_zero(self):
         zero = Direction(GRID, np.zeros(GRID.n), label="null")
-        ch = chain_max_estimator(
-            constant_one(GRID), zero, GRID.n // 2, GRID,
-            KernelConfig(), 5_000, SeedSpec(5150, 15),
-        )
+        ch = chain_at_midpoint(zero, KernelConfig(), 5_000, SeedSpec(5150, 15))
         assert ch.estimate.mean == 0.0
 
     def test_bandwidth_flag(self):
         with pytest.raises(InsufficientSamplesError):
-            chain_max_estimator(
-                constant_one(GRID), Direction.constant(GRID), GRID.n // 2, GRID,
-                KernelConfig(bandwidth=1e-9), 2_000, SeedSpec(5150, 16),
-            )
-
-    def test_gaussian_kernel_agrees(self):
-        tri = chain_max_estimator(
-            constant_one(GRID), Direction.constant(GRID), GRID.n // 2, GRID,
-            KernelConfig(kernel="triangular"), 50_000, SeedSpec(5150, 17),
-        )
-        gau = chain_max_estimator(
-            constant_one(GRID), Direction.constant(GRID), GRID.n // 2, GRID,
-            KernelConfig(kernel="gaussian"), 50_000, SeedSpec(5150, 18),
-        )
-        comb = math.hypot(tri.estimate.std_error, gau.estimate.std_error)
-        bias = tri.bias_diagnostic + gau.bias_diagnostic
-        assert abs(tri.estimate.mean - gau.estimate.mean) <= 3 * comb + 2 * bias
+            chain_at_midpoint(Direction.constant(GRID), KernelConfig(bandwidth=1e-9),
+                              2_000, SeedSpec(5150, 16))
 
     def test_integrated_matches_weak_route(self):
         g = constant_one(GRID)
         h = Direction.constant(GRID)
         weak = d2m_weak_estimator(g, h, h, GRID, 100_000, SeedSpec(5150, 19))
-        chain = chain_max_integrated(
+        _, chain, _ = chain_vs_weak_paired(
             g, h, h, GRID, KernelConfig(), 100_000, SeedSpec(5150, 20), nodes=16
         )
         comb = math.hypot(weak.std_error, chain.estimate_half.std_error)
@@ -274,6 +266,18 @@ def _chain_integrated_on_full_tables(g, k, h, grid, b, samples, seed, nodes):
     return mc_collect(task, samples, seed, combine=np.add)
 
 
+def assert_chain_on_full_tables(chain, g, k, h, samples, seed):
+    n, s1, s2, s1h, s2h = _chain_integrated_on_full_tables(
+        g, k, h, GRID, chain.bandwidth, samples, seed, nodes=24
+    )
+    for est, (sum1, sum2) in ((chain.estimate, (s1, s2)),
+                              (chain.estimate_half, (s1h, s2h))):
+        mean = sum1 / n
+        var = max(0.0, (sum2 - n * mean * mean) / (n - 1))
+        assert est.mean == mean
+        assert est.std_error == math.sqrt(var / n)
+
+
 class TestChainIntegratedTables:
     @pytest.mark.parametrize("ident", ["const1", "bump"])
     def test_bit_identical_to_full_table_reference(self, ident):
@@ -281,16 +285,8 @@ class TestChainIntegratedTables:
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
         seed = SeedSpec(5150, 24)
-        chain = chain_max_integrated(g, k, h, GRID, KernelConfig(), 4_000, seed)
-        n, s1, s2, s1h, s2h = _chain_integrated_on_full_tables(
-            g, k, h, GRID, chain.bandwidth, 4_000, seed, nodes=24
-        )
-        for est, (sum1, sum2) in ((chain.estimate, (s1, s2)),
-                                  (chain.estimate_half, (s1h, s2h))):
-            mean = sum1 / n
-            var = max(0.0, (sum2 - n * mean * mean) / (n - 1))
-            assert est.mean == mean
-            assert est.std_error == math.sqrt(var / n)
+        _, chain, _ = chain_vs_weak_paired(g, k, h, GRID, KernelConfig(), 4_000, seed)
+        assert_chain_on_full_tables(chain, g, k, h, 4_000, seed)
 
 
 class TestChainVsWeakPaired:
@@ -305,8 +301,27 @@ class TestChainVsWeakPaired:
             g, k, h, GRID, KernelConfig(), 4_000, seed, workers=2
         )
         assert weak == d2m_weak_estimator(g, k, h, GRID, 4_000, seed)
-        assert chain == chain_max_integrated(g, k, h, GRID, KernelConfig(), 4_000, seed)
+        assert_chain_on_full_tables(chain, g, k, h, 4_000, seed)
         assert diff.samples == 4_000
+
+    def test_effective_samples_is_the_least_covered_node(self):
+        # 64 substreams of 20 paths, one chunk each: redraw every path and
+        # count, per node, the paths whose split gap lies in the window
+        h = Direction.constant(GRID)
+        kcfg = KernelConfig(bandwidth=0.2)
+        seed = SeedSpec(5150, 27)
+        samples, nodes = 1_280, 24
+        _, chain, _ = chain_vs_weak_paired(
+            constant_one(GRID), h, h, GRID, kcfg, samples, seed, nodes=nodes
+        )
+        t_idx = malliavin.split_nodes(GRID.n, nodes)
+        inside = np.zeros(nodes, dtype=np.int64)
+        for j in range(64):
+            values = brownian_values_batch(seed.generator(j), samples // 64, GRID)
+            fwd_max, _, bwd_max, _ = running_max_tables(values)
+            delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
+            inside += (np.abs(delta) <= kcfg.bandwidth).sum(axis=0)
+        assert chain.effective_samples == inside.min()
 
     def test_difference_matches_per_path_reference(self):
         # 64 substreams of 20 paths, one chunk each: redraw every path and
