@@ -363,17 +363,19 @@ def cmd_report(args: argparse.Namespace) -> int:
                         "ses": [],
                         "reference": row["reference"],
                         "tolerance": row["tolerance"],
-                        "passed": True,
-                        "samples": 0,
+                        "passed": None,
+                        "samples": None,
                         "seed": row["seed"],
                         "fingerprint": fp,
                     },
                 )
                 slot["values"].append(row["value"])
                 slot["ses"].append(row["std_error"])
+                # a row no run gated, or no run sampled, stays empty
                 if row["passed"] is not None:
-                    slot["passed"] &= bool(row["passed"])
-                slot["samples"] += row["samples"] or 0
+                    slot["passed"] = slot["passed"] is not False and bool(row["passed"])
+                if row["samples"] is not None:
+                    slot["samples"] = (slot["samples"] or 0) + row["samples"]
             for name, series in exp.get("series", {}).items():
                 series_out.setdefault(f"{exp['experiment']}__{name}", series)
 

@@ -9,9 +9,9 @@ here are trend checks: the underlying statements are qualitative.
 Symmetry views.  Each Brownian draw is evaluated as several paths with the
 law of W (antithetic variates; Hammersley & Morton, 1956).  ``samples``
 counts evaluated paths, so ``ceil(samples/views)`` draws are made.  The
-views of one draw are dependent, so a ladder's standard error is the
+views of one draw are dependent, so a fraction's standard error is the
 delta-method error of a ratio over the iid per-draw counts
-(:func:`_ratio_estimate`).
+(:func:`maxbv.sampling.ratio_estimate`).
 
 - The two ladders read a path only through its segment excesses around t,
   A = max_[0,t] W - W_t and B = max_[t,T] W - W_t, and their argmaxima.
@@ -47,9 +47,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamplesError
 from .paths import TimeGrid, segment_split_stats, top_two_gap
-from .sampling import MCEstimate, SeedSpec, brownian_values_batch, mc_collect
+from .sampling import (
+    MCEstimate,
+    SeedSpec,
+    brownian_values_batch,
+    mc_collect,
+    mc_ratios,
+    ratio_estimate,
+    ratio_sums,
+    require_counted,
+)
 
 
 def _draws(samples: int, views: int) -> int:
@@ -99,33 +107,6 @@ def _segment_views(
     )
 
 
-def _ratio_sums(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(5, m) sums [sum c, sum c^2, sum h, sum h^2, sum hc] over draws of the
-    (draws, m) hit counts ``h`` against the conditioning counts ``c``, which
-    broadcast to the shape of ``h``."""
-    c = np.broadcast_to(c, h.shape)
-    return np.stack(
-        [c.sum(axis=0), (c * c).sum(axis=0), h.sum(axis=0), (h * h).sum(axis=0),
-         (h * c).sum(axis=0)]
-    )
-
-
-def _ratio_estimate(sums: Sequence[int], seed: SeedSpec) -> MCEstimate:
-    """Conditional fraction R = sum h / sum c from iid per-draw counts, with
-    the delta-method standard error
-    SE^2 = (sum h^2 - 2 R sum hc + R^2 sum c^2) / (sum c)^2.
-
-    With one path per draw (c, h in {0, 1}) this is the binomial p(1-p)/n.
-    The numerator is formed times (sum c)^2 in exact integers, so it never
-    cancels below 0.  ``samples`` is sum c, the conditioned path count.
-    """
-    sc, sc2, sh, sh2, shc = (int(x) for x in sums)
-    num = sc * sc * sh2 - 2 * sc * sh * shc + sh * sh * sc2
-    return MCEstimate(
-        mean=sh / sc, std_error=math.sqrt(num) / (sc * sc), samples=sc, seed=seed
-    )
-
-
 @dataclass(frozen=True)
 class TieStats:
     """Top-two-gap census of the discrete maximum under the plain measure."""
@@ -160,18 +141,15 @@ def unique_max_check(
         gap = top_two_gap(values)
         return np.column_stack((gap == 0.0, gap[:, None] < thr))
 
-    def task(rng: np.random.Generator, count: int):
-        values = brownian_values_batch(rng, count, grid)
-        counts = _both_signs(values, view).sum(axis=0)
-        return np.concatenate(([2 * count], counts))
+    def counts(rng: np.random.Generator, count: int):
+        return 2, _both_signs(brownian_values_batch(rng, count, grid), view)
 
-    acc = mc_collect(task, _draws(samples, 2), seed, combine=np.add, workers=workers)
-    total = int(acc[0])
+    ties, *fractions = mc_ratios(counts, _draws(samples, 2), seed, workers=workers)
     return TieStats(
-        samples=total,
-        ties=int(acc[1]),
+        samples=ties.samples,
+        ties=round(ties.mean * ties.samples),
         thresholds=tuple(float(t) for t in thr),
-        fractions=tuple(int(c) / total for c in acc[2:]),
+        fractions=tuple(f.mean for f in fractions),
         seed=seed,
     )
 
@@ -199,21 +177,16 @@ def excess_conditional_ladder(
         raise ValueError("eps and all deltas must be positive")
     dl = np.asarray(deltas, dtype=float)
 
-    def task(rng: np.random.Generator, count: int):
+    def counts(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
         left, right, _, _ = _segment_views(values, t_index)
         cond = np.abs(right - left) < eps
         small = (left[..., None] < dl) | (right[..., None] < dl)
-        hit = (small & cond[..., None]).sum(axis=0)
-        return _ratio_sums(cond.sum(axis=0)[:, None], hit)
+        return cond.sum(axis=0)[:, None], (small & cond[..., None]).sum(axis=0)
 
-    acc = mc_collect(task, _draws(samples, 4), seed, combine=np.add, workers=workers)
-    conditioned = int(acc[0, 0])
-    if conditioned < 100:
-        raise InsufficientSamplesError(
-            f"only {conditioned} samples satisfied |gap| < {eps}"
-        )
-    return [_ratio_estimate(sums, seed) for sums in acc.T]
+    ests = mc_ratios(counts, _draws(samples, 4), seed, workers=workers)
+    require_counted(ests[0].samples, f"samples satisfied |gap| < {eps}")
+    return ests
 
 
 @dataclass(frozen=True)
@@ -228,15 +201,6 @@ class DoubleMaxSummary:
     argmax_separated: bool  # left argmax < t < right argmax on counted paths
     scatter: np.ndarray  # (k, 2) reservoir of (left_excess, right_excess)
     seed: SeedSpec
-
-    @property
-    def estimate(self) -> MCEstimate:
-        return MCEstimate(
-            mean=self.both_fraction,
-            std_error=self.std_error,
-            samples=self.conditioned,
-            seed=self.seed,
-        )
 
 
 def double_max_ladder(
@@ -277,7 +241,7 @@ def double_max_ladder(
         cond = gap[..., None] < widths
         hit = cond & both[..., None]
         unseparated = (hit & ~separated[..., None]).sum(axis=(0, 1))
-        sums = _ratio_sums(cond.sum(axis=0), hit.sum(axis=0))
+        sums = ratio_sums(cond.sum(axis=0), hit.sum(axis=0))
         counts = np.vstack((sums, unseparated))
         # boolean indexing walks the views in order, each in stream order
         kept = np.stack((left, right), axis=-1)[gap < widths[-1]]
@@ -293,17 +257,13 @@ def double_max_ladder(
     )
     out = []
     for i, e in enumerate(epss):
-        conditioned = int(counts[0, i])
-        if conditioned < 100:
-            raise InsufficientSamplesError(
-                f"only {conditioned} samples satisfied |gap| < {e}"
-            )
-        est = _ratio_estimate(counts[:5, i], seed)
+        est = ratio_estimate(counts[:5, i], seed)
+        require_counted(est.samples, f"samples satisfied |gap| < {e}")
         out.append(
             DoubleMaxSummary(
                 eps=e,
                 delta=delta,
-                conditioned=conditioned,
+                conditioned=est.samples,
                 both_fraction=est.mean,
                 std_error=est.std_error,
                 argmax_separated=bool(counts[5, i] == 0),

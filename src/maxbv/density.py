@@ -125,11 +125,11 @@ class DensityCurve:
             raise ValueError("density values must be non-negative")
 
 
-def segment_max_curve(length: float, y_max: float | None = None, points: int = 801) -> DensityCurve:
-    """Tabulated segment-max density with trapezoid mass + half-normal tail."""
-    if y_max is None:
-        y_max = 8.0 * math.sqrt(length)
-    ys = np.linspace(0.0, y_max, points)
+def segment_max_curve(length: float) -> DensityCurve:
+    """Tabulated segment-max density at 801 points up to 8 sqrt(length), with
+    trapezoid mass + half-normal tail."""
+    y_max = 8.0 * math.sqrt(length)
+    ys = np.linspace(0.0, y_max, 801)
     vals = np.array([segment_max_density(float(y), length) for y in ys])
     mass = float(np.trapezoid(vals, ys))
     z = y_max / math.sqrt(length)

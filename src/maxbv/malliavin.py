@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cylindrical import CylindricalFunction
-from .errors import InsufficientSamplesError
 from .paths import (
     Direction,
     DiscretePath,
@@ -43,14 +42,18 @@ from .sampling import (
     MCEstimate,
     SeedSpec,
     brownian_values_batch,
-    mc_collect,
+    mc_ratios,
     mc_run,
     mc_run_many,
+    require_counted,
 )
 
 #: Multiple of machine epsilon below which a 4-term alternating sum of
 #: functional values is indistinguishable from rounding noise.
 _SECOND_DIFF_NOISE_ULPS = 32.0
+
+#: Grid fractions of the two tied peaks of :func:`two_peak_path`.
+_PEAK_FRACS = (0.3, 0.7)
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,19 @@ def sigma_time(path: DiscretePath) -> float:
 # Pointwise finite differences
 # ---------------------------------------------------------------------------
 
+def _second_difference_sum(f_pp, f_pm, f_mp, f_mm):
+    """The alternating sum f_pp - f_pm - f_mp + f_mm, set to exactly 0 where
+    it is within 32 ulps of the largest |f|: there it is rounding noise of
+    the scheme, not curvature."""
+    raw = f_pp - f_pm - f_mp + f_mm
+    scale = np.maximum(
+        np.maximum(np.abs(f_pp), np.abs(f_pm)), np.maximum(np.abs(f_mp), np.abs(f_mm))
+    )
+    return np.where(
+        np.abs(raw) <= _SECOND_DIFF_NOISE_ULPS * np.finfo(float).eps * scale, 0.0, raw
+    )
+
+
 def fd_second(
     F: Callable[[DiscretePath], float],
     path: DiscretePath,
@@ -120,11 +136,7 @@ def fd_second(
     f_pm = F(DiscretePath(grid, w + cfg.eps * minus))
     f_mp = F(DiscretePath(grid, w - cfg.eps * minus))
     f_mm = F(DiscretePath(grid, w - cfg.eps * plus))
-    raw = f_pp - f_pm - f_mp + f_mm
-    scale = max(abs(f_pp), abs(f_pm), abs(f_mp), abs(f_mm), 1e-300)
-    if abs(raw) <= _SECOND_DIFF_NOISE_ULPS * np.finfo(float).eps * scale:
-        return 0.0
-    return raw / (4.0 * cfg.eps * cfg.eps)
+    return float(_second_difference_sum(f_pp, f_pm, f_mp, f_mm)) / (4.0 * cfg.eps * cfg.eps)
 
 
 def tie_exclusion_threshold(eps: float, *directions: Direction) -> float:
@@ -141,70 +153,42 @@ def tie_exclusion_threshold(eps: float, *directions: Direction) -> float:
 # Gradient identity check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradMaxReport:
-    """Outcome of the gradient identity check for one direction."""
-
-    direction: str
-    fraction_ok: float
-    checked: int
-    excluded: int
-    samples: int
-    eps: float
-    tolerance: float
-
-
 def verify_grad_max(
     grid: TimeGrid,
     samples: int,
     seed: SeedSpec,
     cfg: FDConfig,
-    directions: Sequence[Direction] | None = None,
     *,
     workers: int = 1,
-) -> list[GradMaxReport]:
-    """Fraction of sampled paths with |fd(M; h) - h(argmax time)| <= tolerance.
+) -> dict[str, MCEstimate]:
+    """Fraction of checked paths with |fd(M; h) - h(argmax time)| <= tolerance,
+    for each direction h of :func:`direction_catalog`, keyed by its label.
 
     Paths whose top-two maxima gap is below the tie-exclusion threshold are
-    excluded and counted separately: there the maximum is genuinely
-    non-smooth and a finite difference cannot be trusted.
+    not checked: there the maximum is genuinely non-smooth and a finite
+    difference cannot be trusted.  ``samples - est.samples`` of them are
+    excluded; with none checked the fraction reads 0.0.
     """
-    if directions is None:
-        directions = direction_catalog(grid)
+    directions = direction_catalog(grid)
     eps = cfg.eps
 
-    def task(rng: np.random.Generator, count: int):
+    def counts(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
         gap = top_two_gap(values)
         argmax = values.argmax(axis=1)
-        out = np.zeros((len(directions), 3), dtype=np.int64)  # ok, checked, excluded
+        included = np.empty((count, len(directions)), dtype=bool)
+        ok = np.empty_like(included)
         for i, h in enumerate(directions):
             hp = h.primitive
             up = (values + eps * hp).max(axis=1)
             down = (values - eps * hp).max(axis=1)
             fd = (up - down) / (2.0 * eps)
-            expected = hp[argmax]
-            included = gap > tie_exclusion_threshold(eps, h)
-            ok = included & (np.abs(fd - expected) <= cfg.tolerance)
-            out[i] = (ok.sum(), included.sum(), count - included.sum())
-        return out
+            included[:, i] = gap > tie_exclusion_threshold(eps, h)
+            ok[:, i] = included[:, i] & (np.abs(fd - hp[argmax]) <= cfg.tolerance)
+        return included, ok
 
-    counts = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    reports = []
-    for i, h in enumerate(directions):
-        ok, checked, excluded = (int(x) for x in counts[i])
-        reports.append(
-            GradMaxReport(
-                direction=h.label or f"dir{i}",
-                fraction_ok=ok / checked if checked else 0.0,
-                checked=checked,
-                excluded=excluded,
-                samples=samples,
-                eps=eps,
-                tolerance=cfg.tolerance,
-            )
-        )
-    return reports
+    ests = mc_ratios(counts, samples, seed, workers=workers)
+    return {h.label: est for h, est in zip(directions, ests)}
 
 
 def second_difference_zero_fraction(
@@ -212,73 +196,49 @@ def second_difference_zero_fraction(
     samples: int,
     seed: SeedSpec,
     cfg: FDConfig,
-    h: Direction | None = None,
-    k: Direction | None = None,
     *,
     workers: int = 1,
-) -> GradMaxReport:
-    """Fraction of sampled paths whose second difference of M is exactly 0.
+) -> MCEstimate:
+    """Fraction of checked paths whose second difference of M along the
+    constant direction and the front-half indicator is exactly 0.
 
-    Paths passing the tie-exclusion gap rule have a locally linear maximum,
-    so the alternating sum is pure rounding noise and is certified to 0.
+    Paths passing the tie-exclusion gap rule are checked: their maximum is
+    locally linear, so the alternating sum is pure rounding noise and is
+    certified to 0.
     """
-    if h is None:
-        h = Direction.constant(grid)
-    if k is None:
-        k = Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half")
+    h = Direction.constant(grid)
+    k = Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half")
     eps = cfg.eps
     plus = h.primitive + k.primitive
     minus = h.primitive - k.primitive
-    noise = _SECOND_DIFF_NOISE_ULPS * np.finfo(float).eps
 
-    def task(rng: np.random.Generator, count: int):
+    def counts(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
-        gap = top_two_gap(values)
-        f_pp = (values + eps * plus).max(axis=1)
-        f_pm = (values + eps * minus).max(axis=1)
-        f_mp = (values - eps * minus).max(axis=1)
-        f_mm = (values - eps * plus).max(axis=1)
-        raw = f_pp - f_pm - f_mp + f_mm
-        scale = np.maximum.reduce(
-            [np.abs(f_pp), np.abs(f_pm), np.abs(f_mp), np.abs(f_mm)]
-        )
-        is_zero = np.abs(raw) <= noise * scale
-        included = gap > tie_exclusion_threshold(eps, h, k)
-        ok = included & is_zero
-        return np.array(
-            [ok.sum(), included.sum(), count - included.sum()], dtype=np.int64
-        )
+        zero = _second_difference_sum(
+            (values + eps * plus).max(axis=1),
+            (values + eps * minus).max(axis=1),
+            (values - eps * minus).max(axis=1),
+            (values - eps * plus).max(axis=1),
+        ) == 0.0
+        included = top_two_gap(values) > tie_exclusion_threshold(eps, h, k)
+        return included[:, None], (included & zero)[:, None]
 
-    ok, checked, excluded = (
-        int(x) for x in mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    )
-    return GradMaxReport(
-        direction=f"{h.label or 'h'}x{k.label or 'k'}",
-        fraction_ok=ok / checked if checked else 0.0,
-        checked=checked,
-        excluded=excluded,
-        samples=samples,
-        eps=eps,
-        tolerance=0.0,
-    )
+    (est,) = mc_ratios(counts, samples, seed, workers=workers)
+    return est
 
 
 # ---------------------------------------------------------------------------
 # Tied-peak path: the visible atom of the second-derivative measure
 # ---------------------------------------------------------------------------
 
-def two_peak_path(
-    grid: TimeGrid,
-    first_frac: float = 0.3,
-    second_frac: float = 0.7,
-    peak: float | None = None,
-) -> DiscretePath:
-    """Piecewise-linear path whose global maximum is attained at exactly two
-    nodes (identical float values), at the given fractions of the grid."""
+def two_peak_path(grid: TimeGrid) -> DiscretePath:
+    """Piecewise-linear path whose global maximum, half the horizon's square
+    root, is attained at exactly two nodes (identical float values), at 0.3
+    and 0.7 of the grid."""
     n = grid.n
+    first_frac, second_frac = _PEAK_FRACS
     scale = math.sqrt(grid.horizon)
-    if peak is None:
-        peak = 0.5 * scale
+    peak = 0.5 * scale
     i0 = max(1, round(first_frac * n))
     i1 = min(n - 1, max(i0 + 2, round(second_frac * n)))
     imid = (i0 + i1) // 2
@@ -287,13 +247,12 @@ def two_peak_path(
     return DiscretePath(grid, np.interp(np.arange(n + 1, dtype=float), knots, vals))
 
 
-def separating_direction(grid: TimeGrid, first_frac: float = 0.3, second_frac: float = 0.7) -> Direction:
-    """Direction whose primitive differs between the two tied peaks."""
+def separating_direction(grid: TimeGrid) -> Direction:
+    """Direction whose primitive differs between the two tied peaks of
+    :func:`two_peak_path`."""
+    first_frac, second_frac = _PEAK_FRACS
     return Direction.indicator(
-        grid,
-        first_frac * grid.horizon,
-        second_frac * grid.horizon,
-        label="separating",
+        grid, first_frac * grid.horizon, second_frac * grid.horizon, label="separating"
     )
 
 
@@ -492,11 +451,10 @@ class SplitKernel:
         fewer than 100 in-window paths at any node is an error."""
         est, est_half, *inside = moments
         eff = min(round(m.mean * m.samples) for m in inside)
-        if eff < 100:
-            raise InsufficientSamplesError(
-                f"bandwidth {self.bandwidth:.3g} left only {eff} effective "
-                f"samples at the least-covered node"
-            )
+        require_counted(
+            eff, f"effective samples at the least-covered node of bandwidth "
+            f"{self.bandwidth:.3g}"
+        )
         return ChainMaxEstimate(est, est_half, self.bandwidth, eff)
 
 
@@ -596,22 +554,20 @@ def sigma_fd_zero_fraction(
     samples: int,
     seed: SeedSpec,
     cfg: FDConfig,
-    h: Direction | None = None,
     *,
     workers: int = 1,
-) -> float:
+) -> MCEstimate:
     """Fraction of sampled paths where the central difference of the argmax
-    time is exactly 0 (argmax is locally constant off the tie set)."""
-    if h is None:
-        h = Direction.constant(grid)
+    time along the constant direction is exactly 0 (argmax is locally
+    constant off the tie set)."""
+    hp = Direction.constant(grid).primitive
     eps = cfg.eps
-    hp = h.primitive
 
-    def task(rng: np.random.Generator, count: int):
+    def counts(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
         arg_up = (values + eps * hp).argmax(axis=1)
         arg_down = (values - eps * hp).argmax(axis=1)
-        return np.array([count, (arg_up == arg_down).sum()], dtype=np.int64)
+        return 1, (arg_up == arg_down)[:, None]
 
-    total, zero = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    return int(zero) / int(total)
+    (est,) = mc_ratios(counts, samples, seed, workers=workers)
+    return est

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError
 from .fluctuation import mc_bridge_stay_prob
-from .sampling import MCEstimate, SeedSpec, mc_collect, mc_run
+from .sampling import MCEstimate, SeedSpec, mc_ratios, mc_run, require_counted
 
 #: Gaussian perimeter of a halfspace through the origin, phi(0).
 HALFSPACE_PERIMETER = 1.0 / math.sqrt(2.0 * math.pi)
@@ -157,23 +156,18 @@ def concentration_offband_mass(
     if eps <= 0 or band <= 0:
         raise ValueError("eps and band must be positive")
 
-    def task(rng: np.random.Generator, count: int):
+    def counts(rng: np.random.Generator, count: int):
         x = rng.standard_normal((count, n))
         proj = np.abs(x.sum(axis=1) / math.sqrt(n))
         in_tube = proj < eps
-        off_band = in_tube & (proj > band)
-        return np.array([in_tube.sum(), off_band.sum()], dtype=np.int64)
+        return in_tube[:, None], (in_tube & (proj > band))[:, None]
 
-    in_tube, off_band = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    m = int(in_tube)
-    if m < 100:
-        raise InsufficientSamplesError(
-            f"only {m} samples landed in the eps={eps} tube; "
-            f"increase samples or widen the tube"
-        )
-    frac = off_band / m
-    se = math.sqrt(max(frac * (1.0 - frac), 0.0) / m)
-    return MCEstimate(mean=float(frac), std_error=se, samples=m, seed=seed)
+    (est,) = mc_ratios(counts, samples, seed, workers=workers)
+    require_counted(
+        est.samples, f"samples landed in the eps={eps} tube; increase samples or "
+        f"widen the tube"
+    )
+    return est
 
 
 def corollary_bounds_exact(max_n: int) -> bool:

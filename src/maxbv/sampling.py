@@ -1,13 +1,16 @@
 """Reproducible Gaussian sampling and a deterministic parallel Monte Carlo
 driver.
 
+Two estimators fold on it: means of real-valued statistics
+(:func:`mc_run_many`) and ratios of path counts (:func:`mc_ratios`).
+
 Reproducibility contract: every sampler is a pure function of its inputs and
-a :class:`SeedSpec`; ``mc_run``/``mc_run_many``/``mc_collect`` partition work
-over a fixed number of substreams and reduce in ascending stream order, so
-results are bit-identical for any worker count.  The normal generator is
-pinned per build (numpy PCG64 via ``default_rng``) and recorded in run
-manifests; statistical acceptance bands absorb cross-platform generator
-differences.
+a :class:`SeedSpec`; ``mc_run``, ``mc_run_many``, ``mc_ratios`` and
+``mc_collect`` partition work over a fixed number of substreams and reduce
+in ascending stream order, so results are bit-identical for any worker
+count.  The normal generator is pinned per build (numpy PCG64 via
+``default_rng``) and recorded in run manifests; statistical acceptance bands
+absorb cross-platform generator differences.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import NonFiniteStatisticError
+from .errors import InsufficientSamplesError, NonFiniteStatisticError
 from .paths import DiscretePath, TimeGrid
 
 #: Number of independent substreams mc_collect fans a job out over.  Fixed so
@@ -191,10 +194,10 @@ def stay_below_count(
 # Deterministic parallel driver
 # ---------------------------------------------------------------------------
 
-def stream_counts(samples: int, n_streams: int = N_SUBSTREAMS) -> np.ndarray:
+def stream_counts(samples: int) -> np.ndarray:
     """Deterministic split of ``samples`` over the fixed substreams."""
-    base, extra = divmod(samples, n_streams)
-    counts = np.full(n_streams, base, dtype=np.int64)
+    base, extra = divmod(samples, N_SUBSTREAMS)
+    counts = np.full(N_SUBSTREAMS, base, dtype=np.int64)
     counts[:extra] += 1
     return counts
 
@@ -347,3 +350,69 @@ def mc_run(
 
     (est,) = mc_run_many(one_row, samples, seed, workers=workers, chunk_size=chunk_size)
     return est
+
+
+# ---------------------------------------------------------------------------
+# Ratios of path counts
+# ---------------------------------------------------------------------------
+
+def ratio_sums(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(5, m) sums [sum c, sum c^2, sum h, sum h^2, sum hc] over draws of the
+    (draws, m) hit counts ``h`` against the conditioning counts ``c``, which
+    broadcast to the shape of ``h``."""
+    c = np.broadcast_to(c, h.shape)
+    return np.stack(
+        [c.sum(axis=0), (c * c).sum(axis=0), h.sum(axis=0), (h * h).sum(axis=0),
+         (h * c).sum(axis=0)]
+    )
+
+
+def ratio_estimate(sums: Sequence[int], seed: SeedSpec) -> MCEstimate:
+    """Conditional fraction R = sum h / sum c from iid per-draw counts, with
+    the delta-method standard error
+    SE^2 = (sum h^2 - 2 R sum hc + R^2 sum c^2) / (sum c)^2.
+
+    With one path per draw (c, h in {0, 1}) this is the binomial p(1-p)/n.
+    The numerator is formed times (sum c)^2 in exact integers, so it never
+    cancels below 0.  ``samples`` is sum c, the counted path count; with no
+    counted path the fraction reads 0.0.
+    """
+    sc, sc2, sh, sh2, shc = (int(x) for x in sums)
+    if sc == 0:
+        return MCEstimate(mean=0.0, std_error=0.0, samples=0, seed=seed)
+    num = sc * sc * sh2 - 2 * sc * sh * shc + sh * sh * sc2
+    return MCEstimate(
+        mean=sh / sc, std_error=math.sqrt(num) / (sc * sc), samples=sc, seed=seed
+    )
+
+
+def require_counted(counted: int, what: str) -> None:
+    """Raise :class:`InsufficientSamplesError`, reading "only <counted>
+    <what>", when fewer than 100 paths were counted."""
+    if counted < 100:
+        raise InsufficientSamplesError(f"only {counted} {what}")
+
+
+def mc_ratios(
+    counts: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]],
+    samples: int,
+    seed: SeedSpec,
+    *,
+    workers: int = 1,
+) -> list[MCEstimate]:
+    """Monte Carlo fractions sum h / sum c of per-draw path counts, one
+    :func:`ratio_estimate` per column of h, on shared draws.
+
+    ``counts(rng, count)`` must be a pure function returning integer or
+    boolean arrays (c, h) for ``count`` draws: h is (count, m), and c
+    broadcasts to its shape (a constant, one column, or one column per
+    estimate).  The sums
+    are folded as exact integers, so every estimate is bit-identical for
+    any worker count.
+    """
+
+    def task(rng: np.random.Generator, count: int) -> np.ndarray:
+        return ratio_sums(*counts(rng, count))
+
+    sums = mc_collect(task, samples, seed, combine=np.add, workers=workers)
+    return [ratio_estimate(col, seed) for col in sums.T]

@@ -1,4 +1,5 @@
-"""The public surface of ``src/maxbv`` holds no name that only tests use.
+"""The public surface of ``src/maxbv`` holds no name and no knob that only
+tests use.
 
 A public top-level function or class must be referenced from another
 module under ``src/maxbv``, from a ``perfbench`` file, or from
@@ -6,9 +7,15 @@ module under ``src/maxbv``, from a ``perfbench`` file, or from
 helpers of one estimator, subcommand handlers) are listed below with the
 reason they stay public.  A helper that nothing outside the tests calls
 belongs in the tests.
+
+Likewise a defaulted parameter of a public top-level function must be set,
+by keyword or by position, by some call in ``src/maxbv`` or ``perfbench``;
+one that no such call sets is a constant.  The test seams that stay are
+listed in ``KNOBS`` with their reason.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import maxbv
@@ -48,12 +55,20 @@ ALLOWED = {
     "malliavin.tie_exclusion_threshold": _HELPER,
     "malliavin.two_peak_path": _HELPER,
     "malliavin.separating_direction": _HELPER,
-    "malliavin.GradMaxReport": _RESULT,
     "malliavin.ChainMaxEstimate": _RESULT,
     "malliavin.SplitKernel": "the split-point estimator behind two public routes",
     "malliavin.SigmaStat": _RESULT,
     "perimeter.SurfaceMeasureEstimate": _RESULT,
     "sampling.stream_counts": "the substream plan of mc_collect",
+}
+
+
+_SEAM = "test seam: tests set it to exercise a case the callers never reach"
+
+KNOBS = {
+    "sampling.mc_run(chunk_size=)": _SEAM + " (chunk boundaries)",
+    "concentration.unique_max_check(thresholds=)": _SEAM + " (reference thresholds)",
+    "concentration.double_max_ladder(scatter_cap=)": _SEAM + " (a full reservoir)",
 }
 
 
@@ -112,3 +127,74 @@ def test_scan_flags_a_test_only_helper(tmp_path):
     assert unreferenced_public_names(SRC + [extra]) - unreferenced_public_names() == {
         "orphan.only_tests_call_me"
     }
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter; keyword-only ones have
+    no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` may set ``param``: by keyword, through ``**``, or by
+    a positional or starred argument that reaches its position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and any(
+        i >= position or isinstance(a, ast.Starred) for i, a in enumerate(call.args)
+    )
+
+
+def unset_knobs(src=SRC) -> set[str]:
+    """module.function(param=) of every defaulted parameter of a public
+    top-level function that no call in src or perfbench sets.  Calls are
+    matched by the called name, bare or as an attribute."""
+    calls = defaultdict(list)
+    for path in src + BENCH:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append(node)
+    out = set()
+    for path in src:
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                for param, position in _defaulted_parameters(fn):
+                    if not any(_sets(c, param, position) for c in calls[fn.name]):
+                        out.add(f"{path.stem}.{fn.name}({param}=)")
+    return out
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    unlisted = sorted(unset_knobs() - KNOBS.keys())
+    assert not unlisted, (
+        f"defaulted parameters that no call in src or perfbench sets: "
+        f"{unlisted}; make them constants, or list them in KNOBS with the "
+        f"reason they stay"
+    )
+
+
+def test_knob_allowlist_has_no_stale_entries():
+    stale = sorted(KNOBS.keys() - unset_knobs())
+    assert not stale, f"KNOBS entries that are gone or now set elsewhere: {stale}"
+
+
+def test_scan_flags_a_knob_no_caller_sets(tmp_path):
+    extra = tmp_path / "knobs.py"
+    extra.write_text(
+        "def planted(samples, scale=1.0, *, bins=10, workers=1):\n"
+        "    return samples\n\n"
+        "def run(opts):\n"
+        "    planted(100, 2.0, **opts)\n"
+        "    planted(100, workers=2)\n"
+    )
+    # scale is set by position and workers by keyword; ** may set bins
+    assert unset_knobs(SRC + [extra]) == unset_knobs()
+    extra.write_text(extra.read_text().replace("2.0, **opts", "2.0"))
+    assert unset_knobs(SRC + [extra]) - unset_knobs() == {"knobs.planted(bins=)"}

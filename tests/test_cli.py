@@ -556,6 +556,35 @@ class TestReport:
         assert "stay" in text and "other" in text
 
 
+    def test_ungated_row_reports_no_verdict_and_no_samples(self, tmp_path):
+        config = write(tmp_path, "[experiment:exact]\n"
+                       "operation = fluctuation.halfline_exact\nn = 1,2\n")
+        main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
+        code = main(["report", str(tmp_path / "run" / "manifest.json"),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 0
+        header, *rows = (tmp_path / "rep" / "report.csv").read_text().splitlines()
+        cols = header.split(",")
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert cells[cols.index("passed")] == cells[cols.index("samples")] == ""
+
+    def test_failed_run_fails_the_merged_row(self, tmp_path):
+        m1, m2 = self._run_twice(tmp_path)
+        doctored = json.loads(m2.read_text())
+        row = doctored["experiments"][1]["rows"][0]
+        row["passed"] = False
+        m2.write_text(json.dumps(doctored))
+        out = tmp_path / "rep"
+        assert main(["report", str(m1), str(m2), "--out", str(out)]) == 0
+        header, *rows = (out / "report.csv").read_text().splitlines()
+        cols = header.split(",")
+        merged = next(r.split(",") for r in rows if f",{row['check']}," in r)
+        assert merged[cols.index("passed")] == "false"
+        assert int(merged[cols.index("samples")]) == 2 * row["samples"]
+
+
 class TestVerifyHooks:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

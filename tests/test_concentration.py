@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maxbv import concentration
+from maxbv import concentration, sampling
 from maxbv.concentration import (
     double_max_ladder,
     excess_conditional_ladder,
@@ -285,8 +285,8 @@ class TestRatioEstimate:
         rng = np.random.default_rng(5)
         c = (rng.random(5_000) < 0.3).astype(np.int64)
         h = c & (rng.random(5_000) < 0.6)
-        est = concentration._ratio_estimate(
-            concentration._ratio_sums(c[:, None], h[:, None])[:, 0], SEED
+        est = sampling.ratio_estimate(
+            sampling.ratio_sums(c[:, None], h[:, None])[:, 0], SEED
         )
         n, p = int(c.sum()), h.sum() / c.sum()
         assert est.samples == n
@@ -297,11 +297,15 @@ class TestRatioEstimate:
         rng = np.random.default_rng(6)
         c = rng.integers(0, 3, size=(4_000, 1))
         h = np.minimum(c, rng.integers(0, 3, size=(4_000, 3)))
-        sums = concentration._ratio_sums(c, h)
+        sums = sampling.ratio_sums(c, h)
         assert sums.shape == (5, 3)
         for i in range(3):
-            est = concentration._ratio_estimate(sums[:, i], SEED)
+            est = sampling.ratio_estimate(sums[:, i], SEED)
             assert est.mean == h[:, i].sum() / c.sum()
             assert est.std_error == pytest.approx(
                 delta_method_se(c[:, 0], h[:, i]), rel=1e-12
             )
+
+    def test_no_counted_path_reads_zero(self):
+        est = sampling.ratio_estimate([0, 0, 0, 0, 0], SEED)
+        assert (est.mean, est.std_error, est.samples) == (0.0, 0.0, 0)

@@ -34,11 +34,19 @@ from maxbv.paths import (
     DiscretePath,
     TimeGrid,
     bump,
+    direction_catalog,
     direction_inner,
     running_max_tables,
     wiener_integral,
 )
-from maxbv.sampling import SeedSpec, brownian_values_batch, mc_collect, sample_brownian
+from maxbv.sampling import (
+    DEFAULT_CHUNK,
+    SeedSpec,
+    brownian_values_batch,
+    mc_collect,
+    sample_brownian,
+    stream_counts,
+)
 
 GRID = TimeGrid(400, 1.0)
 SEED = SeedSpec(5150, 0)
@@ -126,16 +134,114 @@ class TestFDSecond:
 
 class TestGradMaxSweep:
     def test_high_pass_fraction(self):
-        reports = verify_grad_max(GRID, 400, SEED, FDConfig(eps=1e-5, tolerance=1e-6))
-        assert len(reports) == 3
-        for r in reports:
-            assert r.checked + r.excluded == 400
-            assert r.fraction_ok == 1.0
+        ests = verify_grad_max(GRID, 400, SEED, FDConfig(eps=1e-5, tolerance=1e-6))
+        assert list(ests) == ["unit", "front-half", "tent"]
+        for est in ests.values():
+            assert 0 < est.samples <= 400  # the rest are excluded
+            assert est.mean == 1.0
 
     def test_second_difference_fraction(self):
-        rep = second_difference_zero_fraction(GRID, 400, SEED, FDConfig(eps=1e-3))
-        assert rep.fraction_ok == 1.0
-        assert rep.checked > 0
+        est = second_difference_zero_fraction(GRID, 400, SEED, FDConfig(eps=1e-3))
+        assert est.mean == 1.0
+        assert est.samples > 0
+
+    def test_no_checked_path_reads_zero_and_fails_the_row(self, monkeypatch):
+        monkeypatch.setattr(malliavin, "tie_exclusion_threshold", lambda eps, *d: math.inf)
+        spec = ExperimentSpec("grad", "malliavin.grad_max", dict(n=100, samples=200), 3)
+        rows = run_experiment(spec, 5150).rows
+        assert len(rows) == 3
+        for row in rows:
+            assert (row.value, row.samples, row.passed) == (0.0, 0, False)
+
+
+# ---------------------------------------------------------------------------
+# The counting fractions against plain numpy counts on mc_collect's stream plan
+# ---------------------------------------------------------------------------
+
+SMALL = TimeGrid(50, 1.0)
+# 70_001 draws: 1,094 or 1,093 per stream, so every stream runs two chunks
+DRAWS = 70_001
+
+
+def reference_counts(per_path, draws=DRAWS, grid=SMALL, seed=SEED):
+    """Column sums (c, h) of ``per_path(values)`` over the Brownian chunks of
+    mc_collect's stream plan for ``draws`` draws."""
+    c = h = 0
+    for j, count in enumerate(stream_counts(draws)):
+        rng = seed.generator(j)
+        while count > 0:
+            chunk = min(count, DEFAULT_CHUNK)
+            included, ok = per_path(brownian_values_batch(rng, chunk, grid))
+            c, h = c + included.sum(axis=0), h + ok.sum(axis=0)
+            count -= chunk
+    return c, h
+
+
+def gap_reference(values):
+    top = np.sort(values, axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+def bumped_max(values, eps, direction):
+    return (values + eps * direction).max(axis=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestCountingFractionsMatchReference:
+    def test_grad_max(self, workers):
+        # a tolerance near the rounding error of the difference, so some fail
+        cfg = FDConfig(eps=1e-5, tolerance=2e-11)
+        dirs = direction_catalog(SMALL)
+
+        def per_path(w):
+            gap, arg = gap_reference(w), w.argmax(axis=1)
+            cols = []
+            for d in dirs:
+                hp = d.primitive
+                fd = (bumped_max(w, cfg.eps, hp) - bumped_max(w, -cfg.eps, hp)) / (2 * cfg.eps)
+                checked = gap > 10 * cfg.eps * d.sup_primitive
+                cols.append((checked, checked & (np.abs(fd - hp[arg]) <= cfg.tolerance)))
+            return tuple(np.column_stack(x) for x in zip(*cols))
+
+        c, h = reference_counts(per_path)
+        ests = verify_grad_max(SMALL, DRAWS, SEED, cfg, workers=workers)
+        assert (0 < h).all() and (h < c).all() and (c < DRAWS).all()
+        for i, est in enumerate(ests.values()):
+            assert est.samples == c[i]
+            assert est.mean == h[i] / c[i]
+
+    def test_second_difference(self, workers):
+        eps = 1e-3
+        const, front = Direction.constant(SMALL), Direction.indicator(SMALL, 0.0, 0.5)
+        plus, minus = const.primitive + front.primitive, const.primitive - front.primitive
+        threshold = 10 * eps * (const.sup_primitive + front.sup_primitive)
+
+        def per_path(w):
+            f = [bumped_max(w, eps, plus), bumped_max(w, eps, minus),
+                 bumped_max(w, -eps, minus), bumped_max(w, -eps, plus)]
+            raw = f[0] - f[1] - f[2] + f[3]
+            zero = np.abs(raw) <= 32 * np.finfo(float).eps * np.max(np.abs(f), axis=0)
+            checked = gap_reference(w) > threshold
+            return checked, checked & zero
+
+        c, h = reference_counts(per_path)
+        est = second_difference_zero_fraction(SMALL, DRAWS, SEED, FDConfig(eps=eps),
+                                              workers=workers)
+        assert 0 < h <= c < DRAWS
+        assert (est.samples, est.mean) == (c, h / c)
+
+    def test_sigma(self, workers):
+        eps = 1e-2
+        hp = Direction.constant(SMALL).primitive
+
+        def per_path(w):
+            same = (w + eps * hp).argmax(axis=1) == (w - eps * hp).argmax(axis=1)
+            return np.ones_like(same), same
+
+        c, h = reference_counts(per_path)
+        est = sigma_fd_zero_fraction(SMALL, DRAWS, SEED, FDConfig(eps=eps), workers=workers)
+        assert c == DRAWS and 0 < h < c
+        assert (est.samples, est.mean) == (c, h / c)
 
 
 class TestSecondAdjoint:
@@ -403,8 +509,9 @@ class TestSigma:
             assert abs(stat.sigma - stat.riemann_sum) <= GRID.step
 
     def test_fd_zero_fraction(self):
-        frac = sigma_fd_zero_fraction(GRID, 500, SEED, FDConfig(eps=1e-6))
-        assert frac >= 0.99
+        est = sigma_fd_zero_fraction(GRID, 500, SEED, FDConfig(eps=1e-6))
+        assert est.samples == 500
+        assert est.mean >= 0.99
 
     def test_gradient_identity_row_fails_when_sigma_is_off(self, monkeypatch):
         # the row is the check: a sigma two cells late must read FAIL

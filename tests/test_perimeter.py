@@ -1,5 +1,7 @@
 """Gaussian perimeter values and their cross-checking estimators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,12 @@ class TestOffband:
     def test_half_band_gives_half_mass(self):
         est = concentration_offband_mass(3, 0.02, 0.01, 400_000, SEED)
         assert abs(est.mean - 0.5) <= 3 * est.std_error + 0.01
+
+    def test_std_error_is_binomial(self):
+        est = concentration_offband_mass(3, 0.02, 0.01, 400_000, SEED)
+        p = est.mean
+        assert 0 < p < 1
+        assert est.std_error == pytest.approx(math.sqrt(p * (1 - p) / est.samples), rel=1e-14)
 
     def test_eps_below_band_vanishes(self):
         est = concentration_offband_mass(3, 0.005, 0.01, 400_000, SEED)
