@@ -33,7 +33,6 @@ from .experiments import (
     ExperimentSpec,
     acceptance_criteria,
     quick_preset,
-    run_experiment,
     run_suite,
     validate_params,
 )
@@ -253,49 +252,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     workers = _run_option("workers", _override(args.workers, 1))
     out_dir = _resolve_out(args.out, None)
     try:
-        if args.preset == "quick":
-            return _verify_quick(out_dir, master_seed, workers)
-        return _verify_full(out_dir, master_seed, workers)
+        return _verify(args.preset, out_dir, master_seed, workers)
     except MaxBVError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _verify_quick(out_dir: Path, master_seed: int, workers: int) -> int:
-    specs = quick_preset()
-    results = run_suite(specs, master_seed, workers)
-    ok = _write_outputs(out_dir, results, specs, master_seed, workers)
-    _print_rows(results)
-    print(f"verify quick: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def _verify_full(out_dir: Path, master_seed: int, workers: int) -> int:
-    criteria = acceptance_criteria()
-    all_ok = True
-    specs_flat: list[ExperimentSpec] = []
+def _verify(preset: str, out_dir: Path, master_seed: int, workers: int) -> int:
+    """Run the quick preset as one group and print its rows, or the full
+    preset criterion by criterion, printing each criterion's verdict as soon
+    as it finishes."""
+    if preset == "quick":
+        groups = [(None, quick_preset())]
+    else:
+        groups = [(c, c.experiments) for c in acceptance_criteria()]
+    specs: list[ExperimentSpec] = []
     results: dict[str, ExperimentResult] = {}
-    for criterion in criteria:
-        crit_ok = True
-        for spec in criterion.experiments:
-            result = run_experiment(spec, master_seed, workers)
-            results[spec.exp_id] = result
-            specs_flat.append(spec)
-            crit_ok &= result.passed
-        if criterion.number == 14:
-            repro = reproducibility_check(master_seed, workers, out_dir)
-            results["csv-reproducibility"] = repro
-            specs_flat.append(
-                ExperimentSpec("csv-reproducibility", "sampling.worker_invariance",
-                               {}, 9999)
-            )
-            crit_ok &= repro.passed
-        print(f"criterion {criterion.number:>2}: "
-              f"{'PASS' if crit_ok else 'FAIL'}  {criterion.title}")
-        all_ok &= crit_ok
-    ok = _write_outputs(out_dir, results, specs_flat, master_seed, workers) and all_ok
-    print(f"verify full: {'PASS' if all_ok else 'FAIL'}")
-    return 0 if all_ok else 1
+    for criterion, group in groups:
+        done = run_suite(group, master_seed, workers)
+        specs += group
+        if criterion is not None:
+            if criterion.number == 14:
+                done["csv-reproducibility"] = reproducibility_check(
+                    master_seed, workers, out_dir
+                )
+                specs.append(ExperimentSpec(
+                    "csv-reproducibility", "sampling.worker_invariance", {}, 9999
+                ))
+            passed = all(r.passed for r in done.values())
+            print(f"criterion {criterion.number:>2}: "
+                  f"{'PASS' if passed else 'FAIL'}  {criterion.title}")
+        results.update(done)
+    ok = _write_outputs(out_dir, results, specs, master_seed, workers)
+    if preset == "quick":
+        _print_rows(results)
+    print(f"verify {preset}: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def reproducibility_check(
@@ -328,56 +320,60 @@ def reproducibility_check(
     ])
 
 
+def _merge_manifest(
+    manifest: dict, merged: dict, params_by_fp: dict, series_out: dict
+) -> None:
+    """Fold one manifest's rows into ``merged``, keyed by (fingerprint,
+    check), and its series into ``series_out``."""
+    for exp in manifest["experiments"]:
+        fp = exp["fingerprint"]
+        if fp in params_by_fp and params_by_fp[fp] != exp["params"]:
+            raise ValueError(f"fingerprint collision for {fp} with differing parameters")
+        params_by_fp[fp] = exp["params"]
+        for row in exp["rows"]:
+            slot = merged.setdefault(
+                (fp, row["check"]),
+                {
+                    "experiment": exp["experiment"],
+                    "check": row["check"],
+                    "values": [],
+                    "ses": [],
+                    "reference": row["reference"],
+                    "tolerance": row["tolerance"],
+                    "passed": None,
+                    "samples": None,
+                    "seed": row["seed"],
+                    "fingerprint": fp,
+                },
+            )
+            slot["values"].append(row["value"])
+            slot["ses"].append(row["std_error"])
+            # a row no run gated, or no run sampled, stays empty
+            if row["passed"] is not None:
+                slot["passed"] = slot["passed"] is not False and bool(row["passed"])
+            if row["samples"] is not None:
+                slot["samples"] = (slot["samples"] or 0) + row["samples"]
+        for name, series in exp.get("series", {}).items():
+            series_out.setdefault(f"{exp['experiment']}__{name}", series)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    out_dir = _resolve_out(args.out, None)
-    manifests = []
+    merged: dict[tuple[str, str], dict] = {}
+    params_by_fp: dict[str, dict] = {}
+    series_out: dict[str, dict] = {}
     for path in args.manifests:
         p = Path(path)
         if not p.exists():
             print(f"error: manifest not found: {p}", file=sys.stderr)
             return 2
-        with open(p, encoding="utf-8") as fp:
-            manifests.append(json.load(fp))
-
-    merged: dict[tuple[str, str], dict] = {}
-    params_by_fp: dict[str, dict] = {}
-    series_out: dict[str, dict] = {}
-    for manifest in manifests:
-        for exp in manifest["experiments"]:
-            fp = exp["fingerprint"]
-            if fp in params_by_fp and params_by_fp[fp] != exp["params"]:
-                print(
-                    f"error: fingerprint collision for {fp} with differing "
-                    f"parameters", file=sys.stderr,
-                )
-                return 2
-            params_by_fp[fp] = exp["params"]
-            for row in exp["rows"]:
-                key = (fp, row["check"])
-                slot = merged.setdefault(
-                    key,
-                    {
-                        "experiment": exp["experiment"],
-                        "check": row["check"],
-                        "values": [],
-                        "ses": [],
-                        "reference": row["reference"],
-                        "tolerance": row["tolerance"],
-                        "passed": None,
-                        "samples": None,
-                        "seed": row["seed"],
-                        "fingerprint": fp,
-                    },
-                )
-                slot["values"].append(row["value"])
-                slot["ses"].append(row["std_error"])
-                # a row no run gated, or no run sampled, stays empty
-                if row["passed"] is not None:
-                    slot["passed"] = slot["passed"] is not False and bool(row["passed"])
-                if row["samples"] is not None:
-                    slot["samples"] = (slot["samples"] or 0) + row["samples"]
-            for name, series in exp.get("series", {}).items():
-                series_out.setdefault(f"{exp['experiment']}__{name}", series)
+        try:
+            with open(p, encoding="utf-8") as fp:
+                _merge_manifest(json.load(fp), merged, params_by_fp, series_out)
+        except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            print(f"error: {p}: {reason}", file=sys.stderr)
+            return 2
+    out_dir = _resolve_out(args.out, None)  # made only once every manifest loaded
 
     rows = []
     for slot in merged.values():

@@ -17,7 +17,15 @@ from maxbv import fluctuation
 from maxbv import cli
 from maxbv.cli import load_config, main
 from maxbv.errors import ConfigError, InsufficientSamplesError
-from maxbv.experiments import _REQUIRED, OPERATIONS, _floats, _ints
+from maxbv.experiments import (
+    _REQUIRED,
+    OPERATIONS,
+    _floats,
+    _ints,
+    acceptance_criteria,
+    quick_preset,
+    validate_params,
+)
 
 GOOD_CONFIG = """
 [run]
@@ -531,6 +539,25 @@ class TestReport:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["truncated", "directory", "list", "no-fingerprint"])
+    def test_malformed_manifest_errors(self, tmp_path, capsys, kind):
+        m1, _ = self._run_twice(tmp_path)
+        bad = tmp_path / "bad.json"
+        if kind == "truncated":
+            bad.write_text(m1.read_text()[:100])
+        elif kind == "directory":
+            bad.mkdir()
+        elif kind == "list":
+            bad.write_text("[]")
+        else:
+            doctored = json.loads(m1.read_text())
+            del doctored["experiments"][0]["fingerprint"]
+            bad.write_text(json.dumps(doctored))
+        code = main(["report", str(m1), str(bad), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "rep").exists()
+
     def test_fingerprint_collision_with_differing_params_rejected(
         self, tmp_path, capsys
     ):
@@ -583,6 +610,40 @@ class TestReport:
         merged = next(r.split(",") for r in rows if f",{row['check']}," in r)
         assert merged[cols.index("passed")] == "false"
         assert int(merged[cols.index("samples")]) == 2 * row["samples"]
+
+
+PRESETS = {
+    "acceptance": [s for c in acceptance_criteria() for s in c.experiments],
+    "quick": quick_preset(),
+}
+
+
+class TestPresets:
+    """Both presets, checked without running them."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_ids_and_streams_unique(self, preset):
+        specs = PRESETS[preset]
+        for field in ("exp_id", "stream"):
+            values = [getattr(s, field) for s in specs]
+            assert len(values) == len(set(values)), field
+
+    def test_every_criterion_has_experiments(self):
+        criteria = acceptance_criteria()
+        assert [c.number for c in criteria] == list(range(1, 15))
+        assert all(c.experiments for c in criteria)
+
+    @pytest.mark.parametrize(
+        "spec", [s for p in sorted(PRESETS) for s in PRESETS[p]],
+        ids=lambda s: f"{s.stream}-{s.exp_id}",
+    )
+    def test_every_spec_validates(self, spec):
+        validate_params(OPERATIONS[spec.operation], spec.params, spec.exp_id)
+
+    def test_readme_lists_every_operation(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Registered operations", 1)[1].split("```")[1]
+        assert sorted(block.split()) == sorted(OPERATIONS)
 
 
 class TestVerifyHooks:
