@@ -320,6 +320,21 @@ def reproducibility_check(
     ])
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_numbers(row: dict) -> None:
+    """Reject a manifest row whose numeric fields hold something else; a row
+    with a standard error has a numeric value too."""
+    keys = ("std_error", "tolerance", "samples")
+    if row["std_error"] is not None:
+        keys += ("value",)
+    for key in keys:
+        if row[key] is not None and not _is_number(row[key]):
+            raise TypeError(f"row {row['check']!r}: {key} {row[key]!r} is not a number")
+
+
 def _merge_manifest(
     manifest: dict, merged: dict, params_by_fp: dict, series_out: dict
 ) -> None:
@@ -331,6 +346,7 @@ def _merge_manifest(
             raise ValueError(f"fingerprint collision for {fp} with differing parameters")
         params_by_fp[fp] = exp["params"]
         for row in exp["rows"]:
+            _check_numbers(row)
             slot = merged.setdefault(
                 (fp, row["check"]),
                 {
@@ -378,7 +394,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     for slot in merged.values():
         runs = len(slot["values"])
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in slot["values"]):
+        if all(_is_number(v) for v in slot["values"]):
             value = sum(slot["values"]) / runs
             ses = [s for s in slot["ses"] if s is not None]
             se = (sum(s * s for s in ses) ** 0.5 / runs) if ses else None

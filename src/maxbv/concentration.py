@@ -41,7 +41,6 @@ Measured and left out (per-row SE at equal evaluated paths, n = 1000):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,35 +106,20 @@ def _segment_views(
     )
 
 
-@dataclass(frozen=True)
-class TieStats:
-    """Top-two-gap census of the discrete maximum under the plain measure."""
-
-    samples: int
-    ties: int
-    thresholds: tuple[float, ...]
-    fractions: tuple[float, ...]
-    seed: SeedSpec
-
-
 def unique_max_check(
     grid: TimeGrid,
+    thresholds: Sequence[float],
     samples: int,
     seed: SeedSpec,
     *,
-    thresholds: Sequence[float] | None = None,
     workers: int = 1,
-) -> TieStats:
-    """Exact-tie count and small-gap fractions of the top-two maxima gap.
+) -> list[MCEstimate]:
+    """Fraction of paths whose top-two maxima gap is exactly 0, then the
+    fraction with gap < thresholds[i] for each threshold in order.
 
-    fractions[i] = fraction of paths with gap < thresholds[i]; the default
-    thresholds are {1e-1 .. 1e-4} times sqrt(horizon).  ``samples`` is
-    rounded up to an even number of paths, W and -W per draw.
+    ``samples`` is rounded up to an even number of paths, W and -W per draw.
     """
-    scale = math.sqrt(grid.horizon)
-    if thresholds is None:
-        thresholds = tuple(10.0**-k * scale for k in range(1, 5))
-    thr = np.asarray(sorted(thresholds, reverse=True), dtype=float)
+    thr = np.asarray(thresholds, dtype=float)
 
     def view(values):
         gap = top_two_gap(values)
@@ -144,14 +128,7 @@ def unique_max_check(
     def counts(rng: np.random.Generator, count: int):
         return 2, _both_signs(brownian_values_batch(rng, count, grid), view)
 
-    ties, *fractions = mc_ratios(counts, _draws(samples, 2), seed, workers=workers)
-    return TieStats(
-        samples=ties.samples,
-        ties=round(ties.mean * ties.samples),
-        thresholds=tuple(float(t) for t in thr),
-        fractions=tuple(f.mean for f in fractions),
-        seed=seed,
-    )
+    return mc_ratios(counts, _draws(samples, 2), seed, workers=workers)
 
 
 def excess_conditional_ladder(

@@ -112,29 +112,16 @@ def segment_max_density(y: float, length: float) -> float:
     return 2.0 * math.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """A sampled density with a mass check (quadrature plus analytic tail)."""
-
-    abscissae: np.ndarray
-    values: np.ndarray
-    total_mass_check: float
-
-    def __post_init__(self) -> None:
-        if (np.asarray(self.values) < 0).any():
-            raise ValueError("density values must be non-negative")
-
-
-def segment_max_curve(length: float) -> DensityCurve:
-    """Tabulated segment-max density at 801 points up to 8 sqrt(length), with
-    trapezoid mass + half-normal tail."""
+def segment_max_mass(length: float) -> float:
+    """Mass of the segment-max density: the trapezoid rule at 801 points up
+    to 8 sqrt(length), plus the analytic half-normal tail beyond."""
     y_max = 8.0 * math.sqrt(length)
     ys = np.linspace(0.0, y_max, 801)
     vals = np.array([segment_max_density(float(y), length) for y in ys])
     mass = float(np.trapezoid(vals, ys))
     z = y_max / math.sqrt(length)
     tail = float(math.erfc(z / math.sqrt(2.0)))  # 2*(1 - Phi(z))
-    return DensityCurve(abscissae=ys, values=vals, total_mass_check=mass + tail)
+    return mass + tail
 
 
 def lt_zero(t: float, horizon: float) -> float:
@@ -253,14 +240,8 @@ def inner_arcsine_integral(t: float) -> float:
     return a + b
 
 
-@dataclass(frozen=True)
-class QuadratureValue:
-    value: float
-    error_estimate: float
-
-
-def limit_integral() -> QuadratureValue:
-    """int_0^1 dt int_t^1 ds / sqrt(t (s-t) (1-s)).
+def limit_integral() -> tuple[float, float]:
+    """int_0^1 dt int_t^1 ds / sqrt(t (s-t) (1-s)), with its error estimate.
 
     The outer 1/sqrt(t) singularity is removed by t = r^2; the inner
     integral gets square-root substitutions at both of its endpoints.
@@ -278,7 +259,7 @@ def limit_integral() -> QuadratureValue:
         raise QuadratureError(
             f"limit integral reached error {total_err:.2e}, wanted < 1e-8"
         )
-    return QuadratureValue(value=float(value), error_estimate=float(total_err))
+    return float(value), float(total_err)
 
 
 def limit_integral_riemann(n: int) -> float:

@@ -64,6 +64,14 @@ def _ints(text: Any) -> tuple[int, ...]:
     return _list(int, text)
 
 
+def _functional(text: Any) -> str:
+    """The ident of a functional of the catalog."""
+    idents = [g.ident for g in catalog(TimeGrid(2, 1.0))]
+    if text not in idents:
+        raise ValueError(f"unknown functional {text!r} (known: {', '.join(idents)})")
+    return text
+
+
 @dataclass(frozen=True)
 class Param:
     """A parameter's parser, its default, and optional range checks that
@@ -190,15 +198,14 @@ def _run_halfline_exact(p, seed, workers):
 
 def _run_andersen(p, seed, workers):
     lhs, rhs = fluctuation.andersen_series_check(p["order"])
-    match = lhs.coefficients == rhs.coefficients
     res = ExperimentResult(
-        [_holds(f"series-exponential-equals-binomial-order{p['order']}", match)]
+        [_holds(f"series-exponential-equals-binomial-order{p['order']}", lhs == rhs)]
     )
     res.series["coefficients"] = (
         ("n", "exp_side", "binomial_side"),
         [
             (i, fluctuation.rational_str(a), fluctuation.rational_str(b))
-            for i, (a, b) in enumerate(zip(lhs.coefficients, rhs.coefficients))
+            for i, (a, b) in enumerate(zip(lhs, rhs))
         ],
     )
     return res
@@ -243,8 +250,10 @@ def _run_halfspace(p, seed, workers):
     res = ExperimentResult()
     values = []
     for dim in p["dims"]:
-        spec = perimeter.HalfspaceSpec(np.ones(dim), p["offset"])
-        values.append(perimeter.halfspace_perimeter(spec).value)
+        # the unit normal e_1 puts the halfspace at distance offset in every
+        # dimension; the computed norm of ones(dim)/sqrt(dim) is 1 +- 1 ulp
+        spec = perimeter.HalfspaceSpec(np.eye(1, dim)[0], p["offset"])
+        values.append(perimeter.halfspace_perimeter(spec))
     same = all(v == values[0] for v in values)
     res.rows.append(_holds("dimension-independence", same))
     if p["offset"] == 0.0:
@@ -257,9 +266,8 @@ def _run_tube(p, seed, workers):
     spec = perimeter.HalfspaceSpec(np.ones(p["dim"]), p["offset"])
     est = perimeter.tube_perimeter(spec, p["eps"], p["samples"], seed, workers=workers)
     return ExperimentResult([
-        _row(f"tube-vs-exact-eps{p['eps']}", est.value, std_error=est.std_error,
-             reference=perimeter.halfspace_perimeter(spec).value,
-             tolerance=3.0 * est.std_error + p["slack"], samples=est.samples)
+        _mc_row(f"tube-vs-exact-eps{p['eps']}", est, perimeter.halfspace_perimeter(spec),
+                slack=p["slack"])
     ])
 
 
@@ -268,9 +276,7 @@ def _run_perimeter_bridge(p, seed, workers):
     for n in p["n"]:
         est = perimeter.restricted_perimeter_bridge(n, p["samples"], seed, workers=workers)
         res.rows.append(
-            _row(f"restricted-perimeter-n{n}", est.value, std_error=est.std_error,
-                 reference=perimeter.HALFSPACE_PERIMETER / n,
-                 tolerance=3.0 * est.std_error, samples=est.samples)
+            _mc_row(f"restricted-perimeter-n{n}", est, perimeter.HALFSPACE_PERIMETER / n)
         )
     return res
 
@@ -368,7 +374,7 @@ def _run_weak_symmetry(p, seed, workers):
 
 def _run_chain_vs_weak(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
-    g = catalog_entry(grid, p["g"]) if p["g"] != "const1" else constant_one(grid)
+    g = catalog_entry(grid, p["g"])
     h = Direction.constant(grid)
     k = Direction.constant(grid)
     # both routes on common paths: the gate is a paired test on their
@@ -399,10 +405,10 @@ def _run_sigma_flat(p, seed, workers):
     est = malliavin.sigma_fd_zero_fraction(
         grid, p["samples"], seed, malliavin.FDConfig(eps=p["eps"]), workers=workers
     )
-    stat = malliavin.sigma_functional(sample_brownian(grid, seed))
+    sigma, riemann_sum = malliavin.sigma_functional(sample_brownian(grid, seed))
     return ExperimentResult([
         _bound_row("argmax-time-fd-zero-fraction", est.mean, ">=0.99", samples=est.samples),
-        _row("argmax-time-running-gradient-identity", abs(stat.sigma - stat.riemann_sum),
+        _row("argmax-time-running-gradient-identity", abs(sigma - riemann_sum),
              reference=0.0, tolerance=grid.step),
     ])
 
@@ -439,7 +445,7 @@ def _run_lt_zero_mc(p, seed, workers):
 
 
 def _run_tv_bound(p, seed, workers):
-    ns = sorted(p["n"])
+    ns = sorted(set(p["n"]))
     horizon = p["horizon"]
     rows = density.tv_bound_table(ns, horizon)
     last, prev = rows[-1], rows[-2]
@@ -461,10 +467,10 @@ def _run_tv_bound(p, seed, workers):
 
 
 def _run_limit_integral(p, seed, workers):
-    li = density.limit_integral()
+    value, error = density.limit_integral()
     return ExperimentResult([
-        _row("limit-integral-value", li.value, reference=2.0 * math.pi, tolerance=1e-6),
-        _bound_row("limit-integral-error-estimate", li.error_estimate, "<1e-8"),
+        _row("limit-integral-value", value, reference=2.0 * math.pi, tolerance=1e-6),
+        _bound_row("limit-integral-error-estimate", error, "<1e-8"),
         _row("inner-integral-t0.3", density.inner_arcsine_integral(0.3),
              reference=math.pi, tolerance=1e-8),
     ])
@@ -497,8 +503,7 @@ def _run_asymptote(p, seed, workers):
 
 def _run_density_mass(p, seed, workers):
     return ExperimentResult([
-        _row(f"segment-max-mass-L{length}",
-             density.segment_max_curve(length).total_mass_check,
+        _row(f"segment-max-mass-L{length}", density.segment_max_mass(length),
              reference=1.0, tolerance=1e-6)
         for length in p["lengths"]
     ])
@@ -510,18 +515,21 @@ def _run_density_mass(p, seed, workers):
 
 def _run_unique_max(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
-    ts = conc.unique_max_check(grid, p["samples"], seed, workers=workers)
-    monotone = all(
-        ts.fractions[i] > ts.fractions[i + 1] for i in range(len(ts.fractions) - 1)
-    )
+    scale = math.sqrt(p["horizon"])
+    thresholds = [10.0**-k * scale for k in range(1, 5)]
+    ties, *fractions = conc.unique_max_check(grid, thresholds, p["samples"], seed,
+                                             workers=workers)
+    monotone = all(a.mean > b.mean for a, b in zip(fractions, fractions[1:]))
+    samples = ties.samples
     res = ExperimentResult([
-        _row("exact-ties", ts.ties, reference=0, tolerance=0.0, samples=ts.samples),
-        _holds("small-gap-fractions-monotone", monotone, samples=ts.samples),
-        _holds("no-atom-at-zero-gap", monotone, samples=ts.samples),
+        _row("exact-ties", round(ties.mean * samples), reference=0, tolerance=0.0,
+             samples=samples),
+        _holds("small-gap-fractions-monotone", monotone, samples=samples),
+        _holds("no-atom-at-zero-gap", monotone, samples=samples),
     ])
     res.series["gap_fractions"] = (
         ("threshold", "fraction"),
-        list(zip(ts.thresholds, ts.fractions)),
+        [(t, f.mean) for t, f in zip(thresholds, fractions)],
     )
     return res
 
@@ -736,7 +744,7 @@ _register(
     n=Param(int, 500, minimum=2),
     horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 200000, minimum=2),
-    g=Param(str, "bump"),
+    g=Param(_functional, "bump"),
 )
 _register(
     "malliavin.chain_vs_weak",
@@ -746,7 +754,7 @@ _register(
     horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 1000000, minimum=2),
     nodes=Param(int, 24, minimum=1),
-    g=Param(str, "const1"),
+    g=Param(_functional, "const1"),
 )
 _register(
     "malliavin.sigma_flat",

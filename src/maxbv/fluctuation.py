@@ -59,20 +59,9 @@ def halfline_prob_float(n: int) -> float:
     return math.exp(log_p)
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Truncated formal power series with exact rational coefficients."""
-
-    order: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("need order + 1 coefficients")
-
-
-def andersen_series_check(order: int) -> tuple[SeriesCoefficients, SeriesCoefficients]:
-    """Both sides of the stay-below generating identity, truncated at ``order``.
+def andersen_series_check(order: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The coefficients of t^0 .. t^order on both sides of the stay-below
+    generating identity.
 
     lhs: exp(sum_{k>=1} t^k/(2k)) by exact formal-series exponentiation
     (g_n = (1/(2n)) * sum_{j<n} g_j, from g' = f' g with f' summing to 1/2);
@@ -90,10 +79,7 @@ def andersen_series_check(order: int) -> tuple[SeriesCoefficients, SeriesCoeffic
     rhs = [Fraction(1)]
     for n in range(1, order + 1):
         rhs.append(rhs[-1] * Fraction(2 * n - 1, 2 * n))
-    return (
-        SeriesCoefficients(order, tuple(lhs)),
-        SeriesCoefficients(order, tuple(rhs)),
-    )
+    return tuple(lhs), tuple(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -526,15 +526,7 @@ def split_gap_density_mc(
 # The argmax time as a functional
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaStat:
-    """The first argmax time and its running-gradient reconstruction."""
-
-    sigma: float
-    riemann_sum: float
-
-
-def sigma_functional(path: DiscretePath) -> SigmaStat:
+def sigma_functional(path: DiscretePath) -> tuple[float, float]:
     """sigma and its reconstruction from the running gradient of the maximum,
     D_t max W = 1{max over [0, t] < max over (t, T]}, summed over the left
     nodes times the step.
@@ -546,7 +538,7 @@ def sigma_functional(path: DiscretePath) -> SigmaStat:
     behind = np.maximum.accumulate(v)  # max of v[0..i]
     ahead = np.maximum.accumulate(v[::-1])[::-1]  # max of v[i..n]
     riemann = float((behind[:-1] < ahead[1:]).sum()) * path.grid.step
-    return SigmaStat(sigma=sigma_time(path), riemann_sum=riemann)
+    return sigma_time(path), riemann
 
 
 def sigma_fd_zero_fraction(

@@ -12,7 +12,7 @@ perimeter mass restricted to the stay-below event, which equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,29 +54,14 @@ class HalfspaceSpec:
         return float(self.offset / np.linalg.norm(self.normal))
 
 
-@dataclass(frozen=True)
-class SurfaceMeasureEstimate:
-    """A Gaussian surface-measure value with its method and error bound."""
-
-    value: float
-    method: str  # "exact" | "tube" | "bridge-MC"
-    error_bound: float
-    std_error: float = 0.0
-    bias_bound: float = 0.0
-    samples: int | None = None
-    seed: SeedSpec | None = None
-
-
-def halfspace_perimeter(spec: HalfspaceSpec) -> SurfaceMeasureEstimate:
+def halfspace_perimeter(spec: HalfspaceSpec) -> float:
     """Exact Gaussian perimeter of a halfspace: phi(offset/|normal|).
 
     The n-dimensional surface integral collapses to one dimension because
     the standard Gaussian is rotation invariant; the result does not depend
     on the dimension.
     """
-    return SurfaceMeasureEstimate(
-        value=_phi(spec.standardized_offset), method="exact", error_bound=0.0
-    )
+    return _phi(spec.standardized_offset)
 
 
 def tube_perimeter(
@@ -86,12 +71,12 @@ def tube_perimeter(
     seed: SeedSpec,
     *,
     workers: int = 1,
-) -> SurfaceMeasureEstimate:
+) -> MCEstimate:
     """Independent cross-check: gamma({|<a,x>/|a| - c| < eps}) / (2 eps).
 
     For a halfspace the estimator targets the tube-averaged density, whose
-    deviation from phi(c) is second order in eps; the reported error bound
-    is std_error plus the Taylor bias bound sup|phi''| * eps^2 / 6.
+    deviation from phi(c) is second order in eps: at most
+    sup|phi''| * eps^2 / 6 = phi(0) * eps^2 / 6.
     """
     if eps <= 0:
         raise ValueError("tube half-width must be positive")
@@ -103,22 +88,12 @@ def tube_perimeter(
         proj = x @ unit
         return (np.abs(proj - c) < eps).astype(float) / (2.0 * eps)
 
-    est = mc_run(statistic, samples, seed, workers=workers)
-    bias = _phi(0.0) * eps * eps / 6.0  # sup |phi''| = phi(0)
-    return SurfaceMeasureEstimate(
-        value=est.mean,
-        method="tube",
-        error_bound=est.std_error + bias,
-        std_error=est.std_error,
-        bias_bound=bias,
-        samples=est.samples,
-        seed=seed,
-    )
+    return mc_run(statistic, samples, seed, workers=workers)
 
 
 def restricted_perimeter_bridge(
     n: int, samples: int, seed: SeedSpec, *, workers: int = 1
-) -> SurfaceMeasureEstimate:
+) -> MCEstimate:
     """Perimeter mass of {W_n > 0} restricted to the stay-below event.
 
     The normalized perimeter measure of the halfspace {W_n > 0} is the law
@@ -126,14 +101,8 @@ def restricted_perimeter_bridge(
     stay-below probability; its exact value is (2*pi)^(-1/2)/n.
     """
     est = mc_bridge_stay_prob(n, samples, seed, workers=workers)
-    return SurfaceMeasureEstimate(
-        value=HALFSPACE_PERIMETER * est.mean,
-        method="bridge-MC",
-        error_bound=HALFSPACE_PERIMETER * est.std_error,
-        std_error=HALFSPACE_PERIMETER * est.std_error,
-        samples=est.samples,
-        seed=seed,
-    )
+    return replace(est, mean=HALFSPACE_PERIMETER * est.mean,
+                   std_error=HALFSPACE_PERIMETER * est.std_error)
 
 
 def concentration_offband_mass(

@@ -32,21 +32,17 @@ ALLOWED = {
     "cli.cmd_verify": "subcommand handler, bound by main's argument parser",
     "cli.cmd_report": "subcommand handler, bound by main's argument parser",
     "cli.reproducibility_check": "criterion 14's CSV byte-identity hook",
-    "concentration.TieStats": _RESULT,
     "concentration.DoubleMaxSummary": _RESULT,
     "cylindrical.PolynomialOuter": "outer function of the catalog entries",
     "cylindrical.GaussianBumpOuter": "outer function of the catalog entries",
     "cylindrical.SigmoidProductOuter": "outer function of the catalog entries",
     "cylindrical.adjoint_apply_batch": "batch form of the exported adjoint_apply",
     "density.segment_max_density": _HELPER,
-    "density.DensityCurve": _RESULT,
     "density.TVBoundRow": _RESULT,
-    "density.QuadratureValue": _RESULT,
     "density.AsymptoticGap": _RESULT,
     "experiments.Param": "parameter schema of the experiment registry",
     "experiments.OpSpec": "entry type of the experiment registry",
     "experiments.Criterion": "entry type of acceptance_criteria",
-    "fluctuation.SeriesCoefficients": _RESULT,
     "fluctuation.chi_square_sf": _HELPER,
     "fluctuation.ArgmaxHistogram": _RESULT,
     "malliavin.path_maximum": _HELPER,
@@ -57,8 +53,6 @@ ALLOWED = {
     "malliavin.separating_direction": _HELPER,
     "malliavin.ChainMaxEstimate": _RESULT,
     "malliavin.SplitKernel": "the split-point estimator behind two public routes",
-    "malliavin.SigmaStat": _RESULT,
-    "perimeter.SurfaceMeasureEstimate": _RESULT,
     "sampling.stream_counts": "the substream plan of mc_collect",
 }
 
@@ -67,7 +61,6 @@ _SEAM = "test seam: tests set it to exercise a case the callers never reach"
 
 KNOBS = {
     "sampling.mc_run(chunk_size=)": _SEAM + " (chunk boundaries)",
-    "concentration.unique_max_check(thresholds=)": _SEAM + " (reference thresholds)",
     "concentration.double_max_ladder(scatter_cap=)": _SEAM + " (a full reservoir)",
 }
 

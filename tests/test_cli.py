@@ -340,6 +340,16 @@ samples = 2000
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operation", ["malliavin.weak_symmetry", "malliavin.chain_vs_weak"])
+    def test_unknown_functional(self, tmp_path, capsys, operation):
+        config = write(tmp_path, f"[experiment:edge]\noperation = {operation}\ng = nope\n")
+        message = "experiment:edge/g: unknown functional 'nope' (known: const1, coord,"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("body, key", [
         ("operation = concentration.excess_ladder\nn = 10\neps = 0\nsamples = 2000",
          "eps"),
@@ -539,7 +549,10 @@ class TestReport:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["truncated", "directory", "list", "no-fingerprint"])
+    @pytest.mark.parametrize("kind", [
+        "truncated", "directory", "list", "no-fingerprint",
+        "std_error", "tolerance", "samples", "value",
+    ])
     def test_malformed_manifest_errors(self, tmp_path, capsys, kind):
         m1, _ = self._run_twice(tmp_path)
         bad = tmp_path / "bad.json"
@@ -551,7 +564,10 @@ class TestReport:
             bad.write_text("[]")
         else:
             doctored = json.loads(m1.read_text())
-            del doctored["experiments"][0]["fingerprint"]
+            if kind == "no-fingerprint":
+                del doctored["experiments"][0]["fingerprint"]
+            else:  # a numeric field of a Monte Carlo row holds a string
+                doctored["experiments"][1]["rows"][0][kind] = "x"
             bad.write_text(json.dumps(doctored))
         code = main(["report", str(m1), str(bad), "--out", str(tmp_path / "rep")])
         assert code == 2

@@ -20,28 +20,33 @@ SEED = SeedSpec(8080, 0)
 HALF = GRID.n // 2
 
 
+THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
 class TestUniqueMax:
     def test_no_exact_ties_and_monotone_fractions(self):
-        stats = unique_max_check(GRID, 100_000, SEED)
-        assert stats.ties == 0
-        assert stats.samples == 100_000
-        fr = stats.fractions
+        ties, *fractions = unique_max_check(GRID, THRESHOLDS, 100_000, SEED)
+        assert ties.mean == 0.0
+        assert ties.samples == 100_000
+        fr = [f.mean for f in fractions]
         assert all(a > b for a, b in zip(fr, fr[1:]))
 
     def test_small_gap_scaling_below_one(self):
-        stats = unique_max_check(GRID, 100_000, SEED)
-        for a, b in zip(stats.fractions, stats.fractions[1:]):
-            if a > 0:
-                assert b / a < 1.0
+        _, *fractions = unique_max_check(GRID, THRESHOLDS, 100_000, SEED)
+        for a, b in zip(fractions, fractions[1:]):
+            if a.mean > 0:
+                assert b.mean / a.mean < 1.0
 
     def test_custom_thresholds(self):
-        stats = unique_max_check(GRID, 10_000, SEED, thresholds=(0.5, 0.01))
-        assert stats.thresholds == (0.5, 0.01)
+        # one estimate per threshold, in the order given
+        ests = unique_max_check(GRID, (0.01, 0.5), 10_000, SEED)
+        assert len(ests) == 3
+        assert ests[1].mean < ests[2].mean
 
     @pytest.mark.parametrize("samples, paths", [(2, 2), (3, 4), (10_001, 10_002)])
     def test_samples_count_both_signs(self, samples, paths):
         grid = TimeGrid(50, 1.0)
-        assert unique_max_check(grid, samples, SEED).samples == paths
+        assert all(e.samples == paths for e in unique_max_check(grid, (0.1,), samples, SEED))
 
 
 class TestExcessConditional:
@@ -200,10 +205,9 @@ class TestReflection:
             return np.column_stack([gap == 0.0] + [gap < x for x in thr])
 
         ref = per_draw_reference(view, both_signs).sum(axis=0)
-        stats = unique_max_check(SMALL, 2 * DRAWS - 1, SEED, thresholds=thr)
-        assert stats.samples == 2 * DRAWS
-        assert stats.ties == ref[0]
-        assert stats.fractions == tuple(int(k) / stats.samples for k in ref[1:])
+        ests = unique_max_check(SMALL, thr, 2 * DRAWS - 1, SEED)
+        assert all(e.samples == 2 * DRAWS for e in ests)
+        assert [e.mean for e in ests] == [int(k) / (2 * DRAWS) for k in ref]
 
     def test_excess_ladder_matches_reference(self):
         eps, deltas = 0.05, (0.2, 0.1, 0.05)

@@ -15,12 +15,14 @@ from maxbv.density import (
     limit_integral_riemann,
     lt_zero,
     lt_zero_closed,
-    segment_max_curve,
     segment_max_density,
+    segment_max_mass,
     tv_bound_discrete,
     tv_bound_table,
 )
+from maxbv.experiments import OPERATIONS
 from maxbv.fluctuation import halfline_prob_exact
+from maxbv.sampling import SeedSpec
 
 
 class TestSegmentMaxDensity:
@@ -40,9 +42,8 @@ class TestSegmentMaxDensity:
             assert abs(mass - 1.0) <= 1e-8
 
     def test_curve_mass_includes_tail(self):
-        curve = segment_max_curve(1.0)
-        assert abs(curve.total_mass_check - 1.0) <= 1e-6
-        assert (curve.values >= 0).all()
+        for length in (0.5, 1.0, 4.0):
+            assert abs(segment_max_mass(length) - 1.0) <= 1e-6
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
@@ -152,6 +153,17 @@ class TestTVBound:
         with pytest.raises(ValueError):
             tv_bound_discrete(2, 1.0)
 
+    def test_repeated_n_runs_once(self):
+        # equal n give equal boundaries, so a repeat would fail the
+        # strictly-decreasing row by construction
+        run = OPERATIONS["density.tv_bound"].run
+
+        def rows(ns):
+            result = run({"n": ns, "horizon": 1.0}, SeedSpec(0, 0), 1)
+            return [(r.check, r.value, r.passed) for r in result.rows], result.series
+
+        assert rows((100, 100, 200)) == rows((100, 200))
+
 
 class TestLimitIntegral:
     def test_inner_is_pi_for_several_t(self):
@@ -159,9 +171,9 @@ class TestLimitIntegral:
             assert inner_arcsine_integral(t) == pytest.approx(math.pi, abs=1e-8)
 
     def test_value_is_two_pi(self):
-        li = limit_integral()
-        assert li.value == pytest.approx(2.0 * math.pi, abs=1e-6)
-        assert li.error_estimate < 1e-8
+        value, error = limit_integral()
+        assert value == pytest.approx(2.0 * math.pi, abs=1e-6)
+        assert error < 1e-8
 
     def test_riemann_approaches_from_below(self):
         r200 = limit_integral_riemann(200)

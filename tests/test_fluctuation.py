@@ -51,17 +51,18 @@ class TestExact:
 class TestSeries:
     def test_low_order_coefficients(self):
         lhs, rhs = andersen_series_check(2)
-        assert lhs.coefficients[1] == Fraction(1, 2) == rhs.coefficients[1]
-        assert lhs.coefficients[2] == Fraction(3, 8) == rhs.coefficients[2]
+        assert len(lhs) == len(rhs) == 3
+        assert lhs[1] == Fraction(1, 2) == rhs[1]
+        assert lhs[2] == Fraction(3, 8) == rhs[2]
 
     def test_order_64_exact_equality(self):
         lhs, rhs = andersen_series_check(64)
-        assert lhs.coefficients == rhs.coefficients
+        assert lhs == rhs
 
     def test_series_matches_closed_form_to_64(self):
         lhs, _ = andersen_series_check(64)
         for n in range(65):
-            assert lhs.coefficients[n] == halfline_prob_exact(n)
+            assert lhs[n] == halfline_prob_exact(n)
 
 
 class TestMC:

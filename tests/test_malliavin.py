@@ -498,15 +498,13 @@ class TestSigma:
         down = DiscretePath(GRID, np.linspace(0.0, -1.0, GRID.n + 1))
         assert sigma_time(up) == GRID.horizon
         assert sigma_time(down) == 0.0
-        assert sigma_functional(up).riemann_sum == pytest.approx(
-            GRID.horizon, abs=GRID.step
-        )
-        assert sigma_functional(down).riemann_sum == 0.0
+        assert sigma_functional(up)[1] == pytest.approx(GRID.horizon, abs=GRID.step)
+        assert sigma_functional(down)[1] == 0.0
 
     def test_riemann_reconstruction_on_samples(self):
         for stream in range(5):
-            stat = sigma_functional(brownian(30 + stream))
-            assert abs(stat.sigma - stat.riemann_sum) <= GRID.step
+            sigma, riemann_sum = sigma_functional(brownian(30 + stream))
+            assert abs(sigma - riemann_sum) <= GRID.step
 
     def test_fd_zero_fraction(self):
         est = sigma_fd_zero_fraction(GRID, 500, SEED, FDConfig(eps=1e-6))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from maxbv.errors import InsufficientSamplesError
+from maxbv.experiments import OPERATIONS
+from maxbv.fluctuation import mc_bridge_stay_prob
 from maxbv.perimeter import (
     HALFSPACE_PERIMETER,
     HalfspaceSpec,
@@ -23,46 +25,43 @@ SEED = SeedSpec(321, 0)
 class TestExact:
     def test_origin_value_matches_constant(self):
         for dim in (1, 2, 8, 64):
-            est = halfspace_perimeter(HalfspaceSpec(np.ones(dim)))
-            assert est.value == HALFSPACE_PERIMETER
-            assert est.method == "exact"
-            assert est.error_bound == 0.0
+            assert halfspace_perimeter(HalfspaceSpec(np.ones(dim))) == HALFSPACE_PERIMETER
 
     def test_dimension_independence_any_normal(self):
         a = halfspace_perimeter(HalfspaceSpec(np.array([3.0]), 0.0))
         b = halfspace_perimeter(HalfspaceSpec(np.array([1.0, -2.0, 2.0]), 0.0))
-        assert a.value == b.value == HALFSPACE_PERIMETER
+        assert a == b == HALFSPACE_PERIMETER
 
     def test_far_offset_vanishes(self):
-        est = halfspace_perimeter(HalfspaceSpec(np.ones(2), 50.0))
-        assert est.value < 1e-100
+        assert halfspace_perimeter(HalfspaceSpec(np.ones(2), 50.0)) < 1e-100
 
     def test_unit_offset_is_density_at_one(self):
         est = halfspace_perimeter(HalfspaceSpec(np.array([1.0]), 1.0))
-        assert est.value == pytest.approx(0.24197072451914337, rel=1e-12)
+        assert est == pytest.approx(0.24197072451914337, rel=1e-12)
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             HalfspaceSpec(np.zeros(3))
 
 
+@pytest.mark.parametrize("offset", [0.5, -1.0, 1.7])
+def test_halfspace_rows_pass_at_any_offset(offset):
+    run = OPERATIONS["perimeter.halfspace"].run
+    (row,) = run({"dims": (1, 2, 3, 8, 64), "offset": offset}, SEED, 1).rows
+    assert row.check == "dimension-independence"
+    assert row.passed
+
+
 class TestTube:
     def test_matches_exact_at_origin(self):
         spec = HalfspaceSpec(np.ones(4))
         est = tube_perimeter(spec, 0.01, 400_000, SEED)
-        assert abs(est.value - HALFSPACE_PERIMETER) <= 3 * est.std_error + 1e-4
-        assert est.error_bound >= est.std_error
-
-    def test_bias_bound_quarters_when_eps_halves(self):
-        spec = HalfspaceSpec(np.ones(2))
-        b1 = tube_perimeter(spec, 0.02, 1000, SEED).bias_bound
-        b2 = tube_perimeter(spec, 0.01, 1000, SEED).bias_bound
-        assert b1 == 4.0 * b2
+        assert est.within(HALFSPACE_PERIMETER, slack=1e-4)
 
     def test_huge_offset_estimates_zero(self):
         spec = HalfspaceSpec(np.ones(2), 40.0)
         est = tube_perimeter(spec, 0.05, 10_000, SEED)
-        assert est.value == 0.0
+        assert est.mean == 0.0
 
 
 class TestRestrictedPerimeter:
@@ -70,19 +69,28 @@ class TestRestrictedPerimeter:
     def test_bridge_route_matches_lemma_value(self, n):
         est = restricted_perimeter_bridge(n, 200_000, SeedSpec(321, n))
         ref = HALFSPACE_PERIMETER / n
-        assert abs(est.value - ref) <= 3 * est.std_error, (n, est.value, ref)
+        assert est.within(ref), (n, est.mean, ref)
+
+    def test_scales_the_bridge_stay_estimate(self):
+        seed = SeedSpec(321, 7)
+        stay = mc_bridge_stay_prob(10, 20_000, seed)
+        est = restricted_perimeter_bridge(10, 20_000, seed)
+        assert est.mean == HALFSPACE_PERIMETER * stay.mean
+        assert est.std_error == HALFSPACE_PERIMETER * stay.std_error
+        assert (est.samples, est.seed) == (stay.samples, stay.seed)
 
     def test_rescaled_estimates_agree_with_constant(self):
         for n in (2, 10, 50):
             est = restricted_perimeter_bridge(n, 100_000, SeedSpec(321, 50 + n))
-            assert abs(n * est.value - HALFSPACE_PERIMETER) <= 3 * n * est.std_error
+            assert abs(n * est.mean - HALFSPACE_PERIMETER) <= 3 * n * est.std_error
 
     def test_methods_consistency(self):
         # exact, tube, and full-space bridge routes for the same halfspace
         spec = HalfspaceSpec(np.ones(3))
         exact = halfspace_perimeter(spec)
         tube = tube_perimeter(spec, 0.02, 200_000, SEED)
-        assert abs(tube.value - exact.value) <= 3 * tube.std_error + tube.bias_bound
+        bias = HALFSPACE_PERIMETER * 0.02**2 / 6  # sup|phi''| eps^2 / 6
+        assert tube.within(exact, slack=bias)
         # restricted to the whole space the bridge estimator is the constant
         # times probability one, i.e. exactly the perimeter value
 
@@ -124,7 +132,6 @@ def test_corollary_row_fails_when_phi0_exceeds_one(monkeypatch):
     # phi(0) <= 1 is the whole restricted-perimeter bound, so breaking it
     # must fail the acceptance row
     from maxbv import perimeter
-    from maxbv.experiments import OPERATIONS
 
     def bounds_row():
         run = OPERATIONS["perimeter.corollary_bounds"].run
