@@ -14,27 +14,14 @@ from .errors import (
     NonFiniteStatisticError,
     QuadratureError,
 )
-from .paths import (
-    DeltaStat,
-    Direction,
-    DiscretePath,
-    SegmentMaxStat,
-    TimeGrid,
-    bump,
-    delta_stat,
-    direction_catalog,
-    running_max,
-    wiener_integral,
-)
-from .cylindrical import CylindricalFunction, adjoint_apply, catalog, constant_one
+from .paths import Direction, DiscretePath, TimeGrid, direction_catalog
+from .cylindrical import CylindricalFunction, catalog, constant_one
 from .sampling import (
     MCEstimate,
     SeedSpec,
-    Walk,
     mc_collect,
     mc_run,
     mc_run_many,
-    sample_bridge,
     sample_brownian,
     sample_walk,
 )
@@ -46,27 +33,18 @@ __all__ = [
     "MaxBVError",
     "NonFiniteStatisticError",
     "QuadratureError",
-    "DeltaStat",
     "Direction",
     "DiscretePath",
-    "SegmentMaxStat",
     "TimeGrid",
-    "bump",
-    "delta_stat",
     "direction_catalog",
-    "running_max",
-    "wiener_integral",
     "CylindricalFunction",
-    "adjoint_apply",
     "catalog",
     "constant_one",
     "MCEstimate",
     "SeedSpec",
-    "Walk",
     "mc_collect",
     "mc_run",
     "mc_run_many",
-    "sample_bridge",
     "sample_brownian",
     "sample_walk",
     "__version__",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .paths import Direction, DiscretePath, TimeGrid, wiener_integral_batch
+from .paths import Direction, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -176,24 +176,6 @@ class CylindricalFunction:
         hp = h.primitive[list(self.indices)]
         kp = k.primitive[list(self.indices)]
         return np.einsum("...jk,j,k->...", self.outer.hess(pts), kp, hp)
-
-
-def adjoint_apply(
-    g: CylindricalFunction, h: Direction, path: DiscretePath
-) -> float:
-    """Skorokhod adjoint of the directional derivative applied to g:
-    returns (d_h g)(path) - g(path) * I(h, path), where I is the discrete
-    Wiener integral of h' against the path increments."""
-    return float(adjoint_apply_batch(g, h, path.values))
-
-
-def adjoint_apply_batch(
-    g: CylindricalFunction, h: Direction, values: np.ndarray
-) -> np.ndarray:
-    if h.grid != g.grid:
-        raise GridMismatchError("direction and functional on different grids")
-    integral = wiener_integral_batch(h, values)
-    return g.directional(values, h) - g.value(values) * integral
 
 
 def constant_one(grid: TimeGrid) -> CylindricalFunction:

@@ -161,6 +161,8 @@ def _interior_fracs(p: dict) -> tuple[str, str] | None:
 def _bound_per_n(p: dict) -> tuple[str, str] | None:
     if len(p["bounds"]) != len(p["n"]):
         return "bounds", f"needs one value per n: {len(p['n'])}, got {len(p['bounds'])}"
+    if len(set(p["n"])) != len(p["n"]):
+        return "n", "values must be distinct"
     return None
 
 
@@ -263,7 +265,10 @@ def _run_halfspace(p, seed, workers):
 
 
 def _run_tube(p, seed, workers):
-    spec = perimeter.HalfspaceSpec(np.ones(p["dim"]), p["offset"])
+    # the normal ones(dim) with offset scaled by its norm puts the halfspace
+    # at distance offset, and offset 0 keeps the tube's projection unchanged
+    normal = np.ones(p["dim"])
+    spec = perimeter.HalfspaceSpec(normal, p["offset"] * np.linalg.norm(normal))
     est = perimeter.tube_perimeter(spec, p["eps"], p["samples"], seed, workers=workers)
     return ExperimentResult([
         _mc_row(f"tube-vs-exact-eps{p['eps']}", est, perimeter.halfspace_perimeter(spec),
@@ -485,10 +490,11 @@ def _run_riemann(p, seed, workers):
 
 
 def _run_asymptote(p, seed, workers):
-    gaps = [density.asymptotic_match(n) for n in p["n"]]
+    pairs = sorted(zip(p["n"], p["bounds"]))  # each n keeps its bound
+    gaps = [density.asymptotic_match(n) for n, _ in pairs]
     res = ExperimentResult([
         _bound_row(f"stirling-gap-n{a.n}", a.relative_gap, f"<{bound}")
-        for a, bound in zip(gaps, p["bounds"])
+        for a, (_, bound) in zip(gaps, pairs)
     ])
     decreasing = all(
         gaps[i].relative_gap > gaps[i + 1].relative_gap for i in range(len(gaps) - 1)
@@ -538,7 +544,7 @@ def _run_excess_ladder(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     scale = math.sqrt(p["horizon"])
     t_index = _split_index(p)
-    deltas = [d * scale for d in p["deltas"]]
+    deltas = [d * scale for d in sorted(set(p["deltas"]), reverse=True)]
     ests = conc.excess_conditional_ladder(
         t_index, p["eps"] * scale, deltas, grid, p["samples"], seed, workers=workers
     )
@@ -557,9 +563,10 @@ def _run_double_max_ladder(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     scale = math.sqrt(p["horizon"])
     t_index = _split_index(p)
-    epss = [e * scale if e < 1e8 else e for e in p["epss"]]
+    epss = sorted(set(p["epss"]))
     summaries = conc.double_max_ladder(
-        t_index, epss, p["delta"] * scale, grid, p["samples"], seed, workers=workers
+        t_index, [e * scale for e in epss], p["delta"] * scale, grid, p["samples"], seed,
+        workers=workers,
     )
     # summaries come back sorted by ascending eps, so a fraction that rises as
     # the window shrinks means strictly decreasing along the list
@@ -572,7 +579,7 @@ def _run_double_max_ladder(p, seed, workers):
         _holds("both-excess-increases-as-eps-shrinks", increasing,
                samples=tight.conditioned),
         _holds("argmax-separation", all(s.argmax_separated for s in summaries)),
-        _bound_row(f"both-excess-regression-eps{p['epss'][0]}", tight.both_fraction,
+        _bound_row(f"both-excess-regression-eps{epss[0]}", tight.both_fraction,
                    ">0.85", std_error=tight.std_error, samples=tight.conditioned),
     ])
     res.series["ladder"] = (
@@ -628,9 +635,7 @@ def _run_worker_invariance(p, seed, workers):
     grid = TimeGrid(n, p["horizon"])
     walk = sample_walk(n, seed)
     path = sample_brownian(grid, seed)
-    scaling = bool(
-        np.array_equal(path.values, math.sqrt(grid.step) * walk.partial_sums)
-    )
+    scaling = bool(np.array_equal(path.values, math.sqrt(grid.step) * walk))
     return ExperimentResult([
         _holds("workers-1-vs-8-bit-identical", identical, samples=samples),
         _holds("brownian-equals-scaled-walk", scaling),

@@ -31,7 +31,6 @@ from .paths import (
     TimeGrid,
     direction_catalog,
     direction_inner,
-    running_max,
     same_density,
     segment_split_stats,
     split_tables,
@@ -93,7 +92,7 @@ def path_maximum(path: DiscretePath) -> float:
 
 def sigma_time(path: DiscretePath) -> float:
     """First time the global maximum is attained."""
-    return running_max(path).argmax_time(path.grid)
+    return path.grid.time_at(int(np.argmax(path.values)))  # first occurrence
 
 
 # ---------------------------------------------------------------------------

@@ -74,74 +74,6 @@ class DiscretePath:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class SegmentMaxStat:
-    """Maximum of a path over an inclusive index range [a, b], with the
-    smallest index attaining it (first attainment breaks ties)."""
-
-    a: int
-    b: int
-    max_value: float
-    argmax_index: int
-
-    def argmax_time(self, grid: TimeGrid) -> float:
-        return grid.time_at(self.argmax_index)
-
-
-@dataclass(frozen=True)
-class DeltaStat:
-    """Split-point statistics at node t: the max over [t, n] minus the max
-    over [0, t], and how far each segment max sits above the path value at t."""
-
-    t_index: int
-    delta: float
-    left_excess: float
-    right_excess: float
-
-
-def running_max(path: DiscretePath, a: int = 0, b: int | None = None) -> SegmentMaxStat:
-    """Exact maximum and first argmax of ``path`` over indices a..b inclusive.
-
-    Ties are broken toward the smallest index, matching the first-attainment
-    convention for the argmax time of a running maximum.
-    """
-    n = path.grid.n
-    if b is None:
-        b = n
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise TypeError("segment bounds must be integers")
-    if not (0 <= a <= b <= n):
-        raise IndexError(f"need 0 <= a <= b <= {n}, got a={a}, b={b}")
-    seg = path.values[a : b + 1]
-    k = int(np.argmax(seg))  # np.argmax returns the first occurrence
-    return SegmentMaxStat(a=a, b=b, max_value=float(seg[k]), argmax_index=a + k)
-
-
-def delta_stat(path: DiscretePath, t_index: int) -> DeltaStat:
-    """Left/right segment maxima around node ``t_index`` and their difference.
-
-    The identity delta = right_excess - left_excess holds exactly because all
-    three quantities are derived from the same two segment maxima.
-    """
-    n = path.grid.n
-    if not isinstance(t_index, int):
-        raise TypeError("t_index must be an integer")
-    if not (0 <= t_index <= n):
-        raise IndexError(f"t_index out of range: {t_index}")
-    left = running_max(path, 0, t_index)
-    right = running_max(path, t_index, n)
-    w_t = float(path.values[t_index])
-    left_excess = left.max_value - w_t
-    right_excess = right.max_value - w_t
-    # delta derived from the excesses keeps the decomposition identity exact
-    return DeltaStat(
-        t_index=t_index,
-        delta=right_excess - left_excess,
-        left_excess=left_excess,
-        right_excess=right_excess,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Direction:
     """A Cameron-Martin direction given by its density, a step function that
@@ -205,23 +137,9 @@ def direction_catalog(grid: TimeGrid) -> list[Direction]:
     ]
 
 
-def bump(path: DiscretePath, h: Direction, eps: float) -> DiscretePath:
-    """The perturbed path w + eps*h, evaluated through h's primitive."""
-    _check_same_grid(path.grid, h.grid)
-    if not math.isfinite(eps):
-        raise ValueError(f"bump size must be finite, got {eps}")
-    return DiscretePath(path.grid, path.values + eps * h.primitive)
-
-
-def wiener_integral(h: Direction, path: DiscretePath) -> float:
-    """Discrete Wiener integral of h' against the path increments,
-    sum_i density[i] * (w_{i+1} - w_i), with left-endpoint (Ito) weights."""
-    _check_same_grid(path.grid, h.grid)
-    return float(np.dot(h.density, np.diff(path.values)))
-
-
 def wiener_integral_batch(h, values: np.ndarray):
-    """Vectorized ``wiener_integral`` over a (batch, n+1) array of node values.
+    """Discrete Wiener integral sum_i density[i] * (w_{i+1} - w_i) of h' over
+    each row of a (batch, n+1) array of node values (left-endpoint weights).
 
     ``h`` may also be a tuple of directions: the increments are then formed
     once and a tuple of integrals is returned, one per direction.  A

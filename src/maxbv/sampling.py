@@ -65,19 +65,6 @@ class SeedSpec:
         return f"{self.master_seed}/{self.stream_index}"
 
 
-@dataclass(frozen=True, eq=False)
-class Walk:
-    """A standard Gaussian random walk: increments and their partial sums,
-    with W_0 = 0 and partial_sums exactly the running sum of increments."""
-
-    increments: np.ndarray
-    partial_sums: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.increments)
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     """Mean, standard error (sample std / sqrt(samples)), count, and seed."""
@@ -92,41 +79,18 @@ class MCEstimate:
         return abs(self.mean - reference) <= k * self.std_error + slack
 
 
-def sample_walk(n: int, seed: SeedSpec) -> Walk:
-    """Length-n Gaussian random walk from the seeded stream.
-
-    The partial sums are the running sums of the drawn normals; increments
-    are re-derived as their differences so consistency is exact bitwise.
-    """
+def sample_walk(n: int, seed: SeedSpec) -> np.ndarray:
+    """Partial sums W_0 = 0, W_1, ..., W_n of a length-n Gaussian random walk
+    drawn from the seeded stream."""
     if n < 1:
         raise ValueError("walk length must be at least 1")
-    x = seed.generator().standard_normal(n)
-    partial_sums = np.concatenate(([0.0], np.cumsum(x)))
-    return Walk(increments=np.diff(partial_sums), partial_sums=partial_sums)
+    return np.concatenate(([0.0], np.cumsum(seed.generator().standard_normal(n))))
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> DiscretePath:
     """Brownian path on the grid: sqrt(step) times the walk's partial sums,
     bit-identical to scaling ``sample_walk(grid.n, seed)``."""
-    walk = sample_walk(grid.n, seed)
-    return DiscretePath(grid, np.sqrt(grid.step) * walk.partial_sums)
-
-
-def sample_bridge(n: int, seed: SeedSpec) -> Walk:
-    """Gaussian walk conditioned to return to 0 at step n.
-
-    Conditioning is realized by the exact mean-subtraction projection
-    x -> x - mean(x), which is invariant in law under cyclic shifts of the
-    increments.  The final partial sum is forced to exact 0 and increments
-    are re-derived from the adjusted sums so both Walk invariants hold.
-    """
-    if n < 1:
-        raise ValueError("bridge length must be at least 1")
-    x = seed.generator().standard_normal(n)
-    inc = x - x.mean()
-    partial_sums = np.concatenate(([0.0], np.cumsum(inc)))
-    partial_sums[-1] = 0.0
-    return Walk(increments=np.diff(partial_sums), partial_sums=partial_sums)
+    return DiscretePath(grid, np.sqrt(grid.step) * sample_walk(grid.n, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 tests use.
 
 A public top-level function or class must be referenced from another
-module under ``src/maxbv``, from a ``perfbench`` file, or from
-``maxbv.__all__``.  Names that serve only their own module (result types,
-helpers of one estimator, subcommand handlers) are listed below with the
-reason they stay public.  A helper that nothing outside the tests calls
+module under ``src/maxbv`` or from a ``perfbench`` file.  A package
+``__init__.py`` does not count: its re-exports and ``__all__`` would keep a
+test-only name public without any caller.  Names that serve only their own
+module (result types, helpers of one estimator, subcommand handlers) are
+listed below with the reason they stay public.  A helper that nothing outside the tests calls
 belongs in the tests.
 
 Likewise a defaulted parameter of a public top-level function must be set,
@@ -36,7 +37,6 @@ ALLOWED = {
     "cylindrical.PolynomialOuter": "outer function of the catalog entries",
     "cylindrical.GaussianBumpOuter": "outer function of the catalog entries",
     "cylindrical.SigmoidProductOuter": "outer function of the catalog entries",
-    "cylindrical.adjoint_apply_batch": "batch form of the exported adjoint_apply",
     "density.segment_max_density": _HELPER,
     "density.TVBoundRow": _RESULT,
     "density.AsymptoticGap": _RESULT,
@@ -87,14 +87,15 @@ def _public_definitions(path: Path) -> list[str]:
 
 
 def unreferenced_public_names(src=SRC) -> set[str]:
-    """module.name of every public definition that no other src module, no
-    perfbench file and not ``maxbv.__all__`` refers to."""
-    refs = {path: _referenced_names(path) for path in src + BENCH}
+    """module.name of every public definition that no other src module and
+    no perfbench file refers to; an ``__init__.py`` is not a referrer."""
+    refs = {path: _referenced_names(path) for path in src + BENCH
+            if path.name != "__init__.py"}
     out = set()
     for path in src:
         for name in _public_definitions(path):
             used = any(name in names for other, names in refs.items() if other != path)
-            if not used and name not in maxbv.__all__:
+            if not used:
                 out.add(f"{path.stem}.{name}")
     return out
 
@@ -120,6 +121,32 @@ def test_scan_flags_a_test_only_helper(tmp_path):
     assert unreferenced_public_names(SRC + [extra]) - unreferenced_public_names() == {
         "orphan.only_tests_call_me"
     }
+
+
+def test_scan_ignores_a_re_export(tmp_path):
+    # a function that only a package __init__ re-exports is still test-only
+    orphan = tmp_path / "orphan.py"
+    orphan.write_text("def only_exported():\n    return 1\n")
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        'from .orphan import only_exported\n\n__all__ = ["only_exported"]\n'
+    )
+    flagged = unreferenced_public_names(SRC + [orphan, init]) - unreferenced_public_names()
+    assert flagged == {"orphan.only_exported"}
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from maxbv import *", namespace)
+    assert all(namespace[name] is getattr(maxbv, name) for name in maxbv.__all__)
+    # __all__ lists exactly what __init__ imports, plus the version
+    init = ast.parse((ROOT / "src" / "maxbv" / "__init__.py").read_text())
+    imported = {
+        alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(maxbv.__all__) == imported | {"__version__"}
 
 
 def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:

@@ -330,6 +330,8 @@ samples = 2000
          "experiment:edge/t_fracs: every value must lie in (0, 1)"),
         ("operation = density.asymptote\nn = 10,100\nbounds = 0.03",
          "experiment:edge/bounds: needs one value per n: 2, got 1"),
+        ("operation = density.asymptote\nn = 10,100,10\nbounds = 0.03,0.003,0.03",
+         "experiment:edge/n: values must be distinct"),
     ])
     def test_coupled_parameters(self, tmp_path, capsys, body, message):
         # each value passes its own range check; together they cannot run

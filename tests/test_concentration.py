@@ -12,6 +12,7 @@ from maxbv.concentration import (
     unique_max_check,
 )
 from maxbv.errors import InsufficientSamplesError
+from maxbv.experiments import OPERATIONS
 from maxbv.paths import TimeGrid
 from maxbv.sampling import DEFAULT_CHUNK, SeedSpec, stream_counts, walk_sums_batch
 
@@ -124,6 +125,36 @@ class TestDoubleMax:
             assert a.std_error == b.std_error
             assert a.conditioned == b.conditioned
             assert np.array_equal(a.scatter, b.scatter)
+
+
+def ladder_rows(operation, **params):
+    """(check, value, passed) of each row, and the series, of a small run."""
+    params = dict(n=50, horizon=1.0, t_frac=0.5, samples=8000, **params)
+    result = OPERATIONS[operation].run(params, SEED, 1)
+    return [(r.check, r.value, r.passed) for r in result.rows], result.series
+
+
+class TestLadderOrder:
+    """A ladder's rows do not depend on the order or repeats of its list:
+    a repeat would fail the strict trend rows by construction."""
+
+    def test_excess_ladder_deltas(self):
+        def rows(deltas):
+            return ladder_rows("concentration.excess_ladder", eps=0.05, deltas=deltas)
+
+        ordered = rows((0.2, 0.1, 0.05, 0.025))
+        assert all(passed for _, _, passed in ordered[0])
+        assert rows((0.025, 0.05, 0.1, 0.2)) == ordered
+        assert rows((0.1, 0.2, 0.05, 0.1, 0.025)) == ordered
+
+    def test_double_max_epss(self):
+        def rows(epss):
+            return ladder_rows("concentration.double_max_ladder", epss=epss, delta=0.05)
+
+        ordered = rows((0.08, 0.3, 1e9))
+        assert ordered[0][2][0] == "both-excess-regression-eps0.08"
+        assert rows((0.3, 0.08, 1e9)) == ordered
+        assert rows((1e9, 0.3, 0.08, 0.3)) == ordered
 
 
 # ---------------------------------------------------------------------------

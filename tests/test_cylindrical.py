@@ -4,18 +4,18 @@ the Skorokhod adjoint formula, and the integration-by-parts dualities."""
 import numpy as np
 import pytest
 
-from maxbv.cylindrical import (
-    adjoint_apply,
-    adjoint_apply_batch,
-    catalog,
-    catalog_entry,
-    constant_one,
-)
-from maxbv.paths import Direction, TimeGrid
+from maxbv.cylindrical import catalog, catalog_entry, constant_one
+from maxbv.paths import Direction, TimeGrid, wiener_integral_batch
 from maxbv.sampling import SeedSpec, brownian_values_batch, mc_run, sample_brownian
 
 GRID = TimeGrid(128, 1.0)
 SEED = SeedSpec(91, 0)
+
+
+def adjoint(g, h, values):
+    """Skorokhod adjoint of d_h applied to g: d_h g - g * I(h), with I the
+    discrete Wiener integral of h' against the path increments."""
+    return g.directional(values, h) - g.value(values) * wiener_integral_batch(h, values)
 
 
 def fd_gradient(outer, x, eps=1e-6):
@@ -83,9 +83,8 @@ class TestAdjoint:
     def test_constant_gives_minus_integral(self):
         path = sample_brownian(GRID, SEED)
         h = Direction.constant(GRID)
-        from maxbv.paths import wiener_integral
-
-        assert adjoint_apply(constant_one(GRID), h, path) == -wiener_integral(h, path)
+        integral = wiener_integral_batch(h, path.values)
+        assert adjoint(constant_one(GRID), h, path.values) == -integral
 
     def test_coordinate_formula(self):
         # g = w at node i, unit density: adjoint = t_i - w_i * w_n
@@ -94,14 +93,14 @@ class TestAdjoint:
         h = Direction.constant(GRID)
         i = g.indices[0]
         expected = h.primitive[i] - path.values[i] * path.values[-1]
-        assert adjoint_apply(g, h, path) == pytest.approx(expected, rel=1e-12)
+        assert adjoint(g, h, path.values) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ident", ["const1", "coord", "quad", "cubic", "bump", "sigmoid"])
     def test_adjoint_mean_zero(self, ident):
         g = catalog_entry(GRID, ident) if ident != "const1" else constant_one(GRID)
         h = Direction.indicator(GRID, 0.0, 0.75, label="front")
         est = mc_run(
-            lambda rng, c: adjoint_apply_batch(g, h, brownian_values_batch(rng, c, GRID)),
+            lambda rng, c: adjoint(g, h, brownian_values_batch(rng, c, GRID)),
             100_000,
             SeedSpec(91, 1),
         )
@@ -117,7 +116,7 @@ class TestAdjoint:
             values = brownian_values_batch(rng, count, GRID)
             return g.value(values) * X.directional(values, h) + X.value(
                 values
-            ) * adjoint_apply_batch(g, h, values)
+            ) * adjoint(g, h, values)
 
         est = mc_run(statistic, 100_000, SeedSpec(91, 2))
         assert est.within(0.0), (est.mean, est.std_error)

@@ -193,6 +193,17 @@ class TestAsymptote:
         assert asymptotic_match(10).relative_gap < 0.03
         assert asymptotic_match(1000).relative_gap < 3e-4
 
+    def test_rows_pair_each_n_with_its_bound(self):
+        run = OPERATIONS["density.asymptote"].run
+
+        def rows(ns, bounds):
+            result = run({"n": ns, "bounds": bounds}, SeedSpec(0, 0), 1)
+            return [(r.check, r.value, r.reference, r.passed) for r in result.rows]
+
+        ordered = rows((10, 100), (0.03, 0.003))
+        assert all(passed for *_, passed in ordered)
+        assert rows((100, 10), (0.003, 0.03)) == ordered
+
     def test_stirling_remainder_scaling(self):
         # gap ~ 1/(8n): check within a factor of 2 at two sizes
         for n in (50, 500):

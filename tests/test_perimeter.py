@@ -64,6 +64,16 @@ class TestTube:
         assert est.mean == 0.0
 
 
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    @pytest.mark.parametrize("offset", [0.5, -1.0, 1.7])
+    def test_row_offset_is_a_distance(self, dim, offset):
+        params = dict(dim=dim, offset=offset, eps=0.05, samples=20_000, slack=1e-4)
+        (row,) = OPERATIONS["perimeter.tube"].run(params, SEED, 1).rows
+        phi = math.exp(-0.5 * offset * offset) / math.sqrt(2.0 * math.pi)
+        assert row.reference == pytest.approx(phi, rel=1e-15)
+        assert row.passed
+
+
 class TestRestrictedPerimeter:
     @pytest.mark.parametrize("n", [2, 10])
     def test_bridge_route_matches_lemma_value(self, n):

@@ -12,7 +12,6 @@ from maxbv.sampling import (
     mc_collect,
     mc_run,
     mc_run_many,
-    sample_bridge,
     sample_brownian,
     sample_walk,
     stay_below_count,
@@ -36,14 +35,12 @@ class TestSeedSpec:
 
 class TestWalk:
     def test_deterministic(self):
-        w1, w2 = sample_walk(16, SEED), sample_walk(16, SEED)
-        assert np.array_equal(w1.increments, w2.increments)
-        assert np.array_equal(w1.partial_sums, w2.partial_sums)
+        assert np.array_equal(sample_walk(16, SEED), sample_walk(16, SEED))
 
     def test_partial_sums_consistent(self):
         w = sample_walk(32, SEED)
-        assert w.partial_sums[0] == 0.0
-        np.testing.assert_array_equal(np.diff(w.partial_sums), w.increments)
+        assert w.shape == (33,) and w[0] == 0.0
+        assert np.array_equal(w[1:], np.cumsum(SEED.generator().standard_normal(32)))
 
     def test_moments(self):
         est = mc_run(lambda rng, c: rng.standard_normal(c), 100_000, SEED)
@@ -69,7 +66,7 @@ class TestBrownian:
         grid = TimeGrid(64, 2.0)
         path = sample_brownian(grid, SEED)
         walk = sample_walk(64, SEED)
-        assert np.array_equal(path.values, np.sqrt(grid.step) * walk.partial_sums)
+        assert np.array_equal(path.values, np.sqrt(grid.step) * walk)
 
     @pytest.mark.parametrize("horizon", [1.0, 2.0, 0.3])
     def test_batch_scaled_in_place_bitwise(self, horizon):
@@ -127,21 +124,11 @@ class TestBridge:
             assert got.tobytes() == ref.tobytes()
             assert (got[:, -1] == 0.0).all()
 
-    def test_endpoint_exact_zero_and_consistency(self):
-        for n in (1, 2, 17):
-            b = sample_bridge(n, SEED)
-            assert b.partial_sums[-1] == 0.0
-            np.testing.assert_array_equal(np.diff(b.partial_sums), b.increments)
-
     def test_raw_projection_kills_sum(self):
         rng = SeedSpec(5, 1).generator()
         x = rng.standard_normal(50)
         inc = x - x.mean()
         assert abs(inc.sum()) <= 1e-12
-
-    def test_n1_bridge_is_zero(self):
-        b = sample_bridge(1, SEED)
-        assert np.array_equal(b.partial_sums, [0.0, 0.0])
 
     def test_covariance_oracle(self):
         # Cov(W_j, W_k) = min(j,k) - j*k/n for the conditioned walk
