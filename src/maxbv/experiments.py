@@ -192,7 +192,7 @@ def _mc_row(check: str, est: MCEstimate, reference: float, slack: float = 0.0) -
 
 def _run_halfline_exact(p, seed, workers):
     res = ExperimentResult()
-    for n in p["n"]:
+    for n in sorted(set(p["n"])):
         q = fluctuation.halfline_prob_exact(n)
         res.rows.append(_row(f"halfline-exact-n{n}", fluctuation.rational_str(q)))
     return res
@@ -215,7 +215,7 @@ def _run_andersen(p, seed, workers):
 
 def _run_mc_halfline(p, seed, workers):
     res = ExperimentResult()
-    for n in p["n"]:
+    for n in sorted(set(p["n"])):
         est = fluctuation.mc_halfline_prob(n, p["samples"], seed, workers=workers)
         res.rows.append(
             _mc_row(f"stay-below-n{n}", est, float(fluctuation.halfline_prob_exact(n)))
@@ -225,7 +225,7 @@ def _run_mc_halfline(p, seed, workers):
 
 def _run_mc_bridge_stay(p, seed, workers):
     res = ExperimentResult()
-    for n in p["n"]:
+    for n in sorted(set(p["n"])):
         est = fluctuation.mc_bridge_stay_prob(n, p["samples"], seed, workers=workers)
         res.rows.append(_mc_row(f"bridge-stay-n{n}", est, 1.0 / n))
     return res
@@ -278,7 +278,7 @@ def _run_tube(p, seed, workers):
 
 def _run_perimeter_bridge(p, seed, workers):
     res = ExperimentResult()
-    for n in p["n"]:
+    for n in sorted(set(p["n"])):
         est = perimeter.restricted_perimeter_bridge(n, p["samples"], seed, workers=workers)
         res.rows.append(
             _mc_row(f"restricted-perimeter-n{n}", est, perimeter.HALFSPACE_PERIMETER / n)
@@ -511,7 +511,7 @@ def _run_density_mass(p, seed, workers):
     return ExperimentResult([
         _row(f"segment-max-mass-L{length}", density.segment_max_mass(length),
              reference=1.0, tolerance=1e-6)
-        for length in p["lengths"]
+        for length in sorted(set(p["lengths"]))
     ])
 
 

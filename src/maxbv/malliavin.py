@@ -38,9 +38,11 @@ from .paths import (
     wiener_integral_batch,
 )
 from .sampling import (
+    DEFAULT_CHUNK,
     MCEstimate,
     SeedSpec,
     brownian_values_batch,
+    chunk_sizes,
     mc_ratios,
     mc_run,
     mc_run_many,
@@ -411,7 +413,11 @@ class SplitKernel:
     at b and at b/2, and with the in-window count |gap| <= b of the
     least-covered node.  ``bandwidth`` is ``kcfg.bandwidth`` or, when that
     is unset, samples^(-1/5) times the std of the gap at the middle node,
-    estimated from a deterministic pilot stream.
+    estimated from a deterministic pilot stream.  The pilot is drawn from
+    that one stream in ``DEFAULT_CHUNK``-row pieces, keeping only each
+    piece's gaps; ``standard_normal`` fills rows in order, so the pieces
+    hold the numbers of a one-shot draw, and no estimator holds more than
+    one chunk's paths.
     """
 
     kcfg: KernelConfig
@@ -423,9 +429,15 @@ class SplitKernel:
     def build(cls, grid, t_idx, node_weight, kcfg, samples, seed) -> SplitKernel:
         b = kcfg.bandwidth
         if b is None:
-            pilot = brownian_values_batch(seed.generator(_PILOT_BRANCH), _PILOT_COUNT, grid)
-            max_l, _, max_r, _ = segment_split_stats(pilot, int(t_idx[len(t_idx) // 2]))
-            b = samples ** (-0.2) * float(np.std(max_r - max_l))
+            # a generator, so each piece's paths are freed before the next is drawn
+            rng = seed.generator(_PILOT_BRANCH)
+            t = int(t_idx[len(t_idx) // 2])
+            stats = (
+                segment_split_stats(brownian_values_batch(rng, c, grid), t)
+                for c in chunk_sizes(_PILOT_COUNT, DEFAULT_CHUNK)
+            )
+            gaps = np.concatenate([max_r - max_l for max_l, _, max_r, _ in stats])
+            b = samples ** (-0.2) * float(np.std(gaps))
         return cls(kcfg, np.asarray(t_idx), np.asarray(node_weight, dtype=float), b)
 
     def rows(

@@ -30,6 +30,8 @@ from .paths import DiscretePath, TimeGrid
 N_SUBSTREAMS = 64
 
 #: Default samples per task invocation; bounds peak memory for path batches.
+#: The split kernel's bandwidth pilot is drawn in pieces of this size too, so
+#: no estimator holds more than one chunk's paths.
 DEFAULT_CHUNK = 1024
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -166,7 +168,9 @@ def stream_counts(samples: int) -> np.ndarray:
     return counts
 
 
-def _chunk_sizes(count: int, chunk_size: int):
+def chunk_sizes(count: int, chunk_size: int):
+    """The row counts, in draw order, of ``count`` rows drawn ``chunk_size``
+    at a time."""
     while count > 0:
         c = min(count, chunk_size)
         yield c
@@ -201,7 +205,7 @@ def mc_collect(
             return None
         rng = seed.generator(j)
         acc: T | None = None
-        for c in _chunk_sizes(cnt, chunk_size):
+        for c in chunk_sizes(cnt, chunk_size):
             part = task(rng, c)
             acc = part if acc is None else combine(acc, part)
         return acc

@@ -26,6 +26,7 @@ from maxbv.experiments import (
     quick_preset,
     validate_params,
 )
+from maxbv.sampling import SeedSpec
 
 GOOD_CONFIG = """
 [run]
@@ -662,6 +663,30 @@ class TestPresets:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Registered operations", 1)[1].split("```")[1]
         assert sorted(block.split()) == sorted(OPERATIONS)
+
+
+class TestRepeatedListValues:
+    """A list runner runs each distinct value once, in ascending order, so
+    a repeat gives no second row under the same check name."""
+
+    @pytest.mark.parametrize("operation, key, repeated, distinct", [
+        ("fluctuation.halfline_exact", "n", "3,1,3", "1,3"),
+        ("fluctuation.mc_halfline", "n", "3,3", "3"),
+        ("fluctuation.mc_bridge_stay", "n", "3,2,3", "2,3"),
+        ("perimeter.bridge", "n", "2,2", "2"),
+        ("density.curve_mass", "lengths", "1.0,0.5,1.0", "0.5,1.0"),
+    ])
+    def test_one_row_per_distinct_value(self, operation, key, repeated, distinct):
+        op = OPERATIONS[operation]
+
+        def rows(values):
+            raw = {**base_params(op), key: values}
+            params = validate_params(op, raw, "e")
+            return [(r.check, r.value) for r in op.run(params, SeedSpec(99), 1).rows]
+
+        once = rows(distinct)
+        assert rows(repeated) == once
+        assert len(once) == len(distinct.split(","))
 
 
 class TestVerifyHooks:

@@ -1,16 +1,19 @@
 """Finite-difference operators, adjoint estimators, and the kernel route."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxbv import malliavin
-from maxbv.cylindrical import catalog_entry, constant_one
+from maxbv import concentration, malliavin
+from maxbv.cylindrical import catalog, catalog_entry, constant_one
 from maxbv.errors import InsufficientSamplesError
 from maxbv.malliavin import (
     FDConfig,
     KernelConfig,
+    SplitKernel,
     adjoint2_means,
     chain_vs_weak_paired,
     d2m_weak_estimator,
@@ -23,6 +26,7 @@ from maxbv.malliavin import (
     sigma_functional,
     sigma_time,
     split_gap_density_mc,
+    split_nodes,
     tied_peak_second_differences,
     two_peak_path,
     verify_grad_max,
@@ -36,10 +40,12 @@ from maxbv.paths import (
     direction_catalog,
     direction_inner,
     running_max_tables,
+    segment_split_stats,
     wiener_integral_batch,
 )
 from maxbv.sampling import (
     DEFAULT_CHUNK,
+    N_SUBSTREAMS,
     SeedSpec,
     brownian_values_batch,
     mc_collect,
@@ -287,6 +293,41 @@ class TestSecondAdjoint:
         val = float(second_adjoint_batch(constant_one(GRID), zero, zero, path.values))
         assert val == 0.0
 
+    def test_pathwise_symmetric_in_directions(self):
+        assert direction_asymmetries() == []
+
+    def test_pathwise_symmetry_catches_an_asymmetric_adjoint(self, monkeypatch):
+        def dh_for_dk(g, k, h, values):
+            integral_k, integral_h = wiener_integral_batch((k, h), values)
+            gv = g.value(values)
+            dh = g.directional(values, h)
+            return (g.second_directional(values, k, h) - dh * integral_h
+                    - gv * direction_inner(k, h) - integral_k * (dh - gv * integral_h))
+
+        monkeypatch.setattr(malliavin, "second_adjoint_batch", dh_for_dk)
+        failed = {ident for ident, _, _ in direction_asymmetries()}
+        assert failed == {g.ident for g in catalog(GRID)} - {"const1"}
+
+
+def direction_asymmetries():
+    """(g, k, h) for each catalog g and ordered pair of catalog directions
+    where d*_k(d*_h g) and d*_h(d*_k g) differ on 2,000 paths at n=500: by
+    any bit for g = 1, by more than 1e-12 * max(1, |value|) otherwise."""
+    grid = TimeGrid(500, 1.0)
+    values = brownian_values_batch(SeedSpec(5150, 30).generator(), 2_000, grid)
+    failed = []
+    for g in catalog(grid):
+        for k, h in itertools.permutations(direction_catalog(grid), 2):
+            a = malliavin.second_adjoint_batch(g, k, h, values)
+            b = malliavin.second_adjoint_batch(g, h, k, values)
+            if g.ident == "const1":
+                same = np.array_equal(a, b)
+            else:
+                same = bool(np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a))))
+            if not same:
+                failed.append((g.ident, k.label, h.label))
+    return failed
+
 
 class TestWeakEstimator:
     def test_matches_continuum_closed_form(self):
@@ -488,6 +529,69 @@ class TestSplitGapDensity:
         )
         ref = lt_zero_closed(1.0)
         assert abs(kde.estimate_half.mean - ref) / ref <= 0.05
+
+
+class TestPilotBandwidth:
+    @pytest.mark.parametrize("n", [400, 1000])
+    @pytest.mark.parametrize("nodes", [1, 24])
+    def test_equals_the_one_shot_pilot(self, n, nodes):
+        # the 4096-path pilot drawn in one batch from its stream, the split
+        # gap at the middle node, and samples^(-1/5) times its std
+        grid = TimeGrid(n, 1.0)
+        t_idx = split_nodes(n, nodes)
+        samples = 50_000
+        pilot = brownian_values_batch(SEED.generator(10_000), 4096, grid)
+        max_l, _, max_r, _ = segment_split_stats(pilot, int(t_idx[len(t_idx) // 2]))
+        expected = samples**-0.2 * float(np.std(max_r - max_l))
+        kernel = SplitKernel.build(grid, t_idx, np.ones(nodes), KernelConfig(), samples,
+                                   SEED)
+        assert kernel.bandwidth == expected
+
+
+#: Both the pilot and the driver chunks scale with n, so a small n measures
+#: their ratio.
+BUDGET_GRID = TimeGrid(100, 1.0)
+
+
+def _budget_calls(grid):
+    """The path-batch estimators, at full driver chunks, with auto bandwidth
+    where they have a kernel."""
+    h = Direction.constant(grid)
+    k = Direction.indicator(grid, 0.0, 0.5)
+    t = grid.n // 2
+    bump = catalog_entry(grid, "bump")
+    return {
+        "chain_vs_weak_paired": lambda s: chain_vs_weak_paired(
+            bump, k, h, grid, KernelConfig(), s, SEED, nodes=4),
+        "split_gap_density_mc": lambda s: split_gap_density_mc(
+            t, grid, KernelConfig(), s, SEED),
+        "adjoint2_means": lambda s: adjoint2_means(
+            [(constant_one(grid), None), (bump, None)], k, h, grid, s, SEED),
+        "verify_grad_max": lambda s: verify_grad_max(grid, s, SEED, CFG),
+        "unique_max_check": lambda s: concentration.unique_max_check(
+            grid, (0.1, 0.01), s, SEED),
+        "excess_conditional_ladder": lambda s: concentration.excess_conditional_ladder(
+            t, 0.05, [0.2, 0.05], grid, s, SEED),
+        "double_max_ladder": lambda s: concentration.double_max_ladder(
+            t, [0.1, 1e9], 0.05, grid, s, SEED),
+    }
+
+
+class TestMemoryBudget:
+    """No estimator holds more than three driver chunks of paths, the
+    bandwidth pilot included."""
+
+    @pytest.mark.parametrize("name", list(_budget_calls(BUDGET_GRID)))
+    def test_peak_within_three_chunk_buffers(self, name):
+        call = _budget_calls(BUDGET_GRID)[name]
+        call(2_000)  # first-call allocations (lazy imports, caches) are not paths
+        tracemalloc.start()
+        try:
+            call(N_SUBSTREAMS * DEFAULT_CHUNK)  # every chunk full
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * DEFAULT_CHUNK * (BUDGET_GRID.n + 1) * 8
 
 
 class TestSigma:
