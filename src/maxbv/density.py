@@ -209,10 +209,6 @@ def tv_bound_discrete(n: int, horizon: float = 1.0) -> TVBoundRow:
     )
 
 
-def tv_bound_table(ns: list[int], horizon: float = 1.0) -> list[TVBoundRow]:
-    return [tv_bound_discrete(n, horizon) for n in ns]
-
-
 # ---------------------------------------------------------------------------
 # The limiting singular integral
 # ---------------------------------------------------------------------------

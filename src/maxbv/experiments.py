@@ -359,24 +359,6 @@ def _run_adjoint2_zero(p, seed, workers):
     return res
 
 
-def _run_weak_symmetry(p, seed, workers):
-    grid = TimeGrid(p["n"], p["horizon"])
-    g = catalog_entry(grid, p["g"])
-    h = Direction.constant(grid)
-    k = Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half")
-    e1 = malliavin.d2m_weak_estimator(g, k, h, grid, p["samples"], seed, workers=workers)
-    e2 = malliavin.d2m_weak_estimator(
-        g, h, k, grid, p["samples"],
-        SeedSpec(seed.master_seed, seed.stream_index + 1), workers=workers,
-    )
-    comb = math.hypot(e1.std_error, e2.std_error)
-    return ExperimentResult([
-        _row(f"weak-estimator-symmetry-{p['g']}", abs(e1.mean - e2.mean),
-             std_error=comb, reference=0.0, tolerance=3.0 * comb,
-             samples=e1.samples + e2.samples)
-    ])
-
-
 def _run_chain_vs_weak(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     g = catalog_entry(grid, p["g"])
@@ -452,7 +434,7 @@ def _run_lt_zero_mc(p, seed, workers):
 def _run_tv_bound(p, seed, workers):
     ns = sorted(set(p["n"]))
     horizon = p["horizon"]
-    rows = density.tv_bound_table(ns, horizon)
+    rows = [density.tv_bound_discrete(n, horizon) for n in ns]
     last, prev = rows[-1], rows[-2]
     drift = abs(last.total - prev.total) / last.total
     decreasing = all(
@@ -744,14 +726,6 @@ _register(
     samples=Param(int, 100000, minimum=2),
 )
 _register(
-    "malliavin.weak_symmetry",
-    _run_weak_symmetry,
-    n=Param(int, 500, minimum=2),
-    horizon=Param(float, 1.0, positive=True),
-    samples=Param(int, 200000, minimum=2),
-    g=Param(_functional, "bump"),
-)
-_register(
     "malliavin.chain_vs_weak",
     _run_chain_vs_weak,
     coupled=_distinct_split_nodes,
@@ -932,8 +906,6 @@ _PRESETS: tuple[tuple[str, str, int | None, int | None, dict, dict], ...] = (
      dict(n=1000, eps=1e-3, halvings=2), dict(n=500)),
     ("adjoint2", "malliavin.adjoint2_zero", 80, 1130,
      dict(n=256, samples=100_000), dict(n=128, samples=20_000)),
-    ("symmetry", "malliavin.weak_symmetry", 82, None,
-     dict(n=500, samples=200_000, g="bump"), {}),
     ("chain-const", "malliavin.chain_vs_weak", 90, None,
      dict(n=1000, samples=1_000_000, nodes=24, g="const1"), {}),
     ("chain-bump", "malliavin.chain_vs_weak", 92, None,

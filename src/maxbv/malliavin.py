@@ -8,7 +8,7 @@ Four layers of machinery around the running maximum M:
   pointwise curvature (with an explicit tied-peak path where the second
   difference diverges like 1/eps instead);
 - exact second Skorokhod adjoints of catalog functionals, giving the double
-  integration-by-parts estimator for the measure pairing of the second
+  integration-by-parts (weak) route to the measure pairing of the second
   derivative of M;
 - one kernel-conditioned estimator of the split-point disintegration of
   that pairing (:class:`SplitKernel`): integrated over split times and
@@ -44,7 +44,6 @@ from .sampling import (
     brownian_values_batch,
     chunk_sizes,
     mc_ratios,
-    mc_run,
     mc_run_many,
     require_counted,
 )
@@ -277,7 +276,7 @@ def tied_peak_second_differences(
 
 
 # ---------------------------------------------------------------------------
-# Second Skorokhod adjoints and the weak estimator
+# Second Skorokhod adjoints and the weak route
 # ---------------------------------------------------------------------------
 
 def second_adjoint_batch(
@@ -345,25 +344,6 @@ def _weak_values(
     """Per-path values M * d*_k(d*_h g) of the double integration-by-parts
     route."""
     return values.max(axis=1) * second_adjoint_batch(g, k, h, values)
-
-
-def d2m_weak_estimator(
-    g: CylindricalFunction,
-    k: Direction,
-    h: Direction,
-    grid: TimeGrid,
-    samples: int,
-    seed: SeedSpec,
-    *,
-    workers: int = 1,
-) -> MCEstimate:
-    """Double integration-by-parts estimator E[M * d*_k(d*_h g)], the measure
-    pairing of the second derivative of M against g along k' (x) h'."""
-
-    def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
-        return _weak_values(g, k, h, brownian_values_batch(rng, count, grid))
-
-    return mc_run(statistic, samples, seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +469,9 @@ def chain_vs_weak_paired(
     times of :class:`SplitKernel`, weighted by h', with y = g * (k-primitive
     at the right argmax - at the left argmax); ``nodes=1`` is the estimate
     at the one node nearest T/2.  The weak estimate is bit-identical to
-    :func:`d2m_weak_estimator` on the same ``seed``.  The two routes are
-    correlated path by path, so compare them by the difference's standard
-    error, not by combining their separate standard errors.
+    the ``mc_run`` mean of M * d*_k(d*_h g) on the same ``seed``.  The two
+    routes are correlated path by path, so compare them by the difference's
+    standard error, not by combining their separate standard errors.
     """
     t_idx = split_nodes(grid.n, nodes)
     kernel = SplitKernel.build(

@@ -293,18 +293,7 @@ def segment_split_stats(
     """Batch maxima and first argmax of [0, t] and [t, n] around one split node.
 
     Returns (max_left, arg_left, max_right, arg_right) for a (batch, n+1)
-    array; cheaper than full tables when only one split point is needed.
+    array: the one-node view of :func:`split_tables`, so a node outside
+    [0, n] raises ``IndexError``.
     """
-    values = np.atleast_2d(values)
-    rows = np.arange(values.shape[0])
-    left = values[:, : t_index + 1]
-    right = values[:, t_index:]
-    arg_left = left.argmax(axis=1)
-    arg_right = right.argmax(axis=1)
-    # the maxima are read at the argmax, which saves a second pass
-    return (
-        left[rows, arg_left],
-        arg_left,
-        right[rows, arg_right],
-        t_index + arg_right,
-    )
+    return tuple(table[:, 0] for table in split_tables(values, [t_index]))

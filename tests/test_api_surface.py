@@ -9,6 +9,10 @@ module (result types, helpers of one estimator, subcommand handlers) are
 listed below with the reason they stay public.  A helper that nothing outside the tests calls
 belongs in the tests.
 
+Every name that a ``perfbench`` file imports from ``maxbv`` must exist:
+``pytest perfbench`` does not import every benchmark file, so a deleted
+name would otherwise break only the benchmark run.
+
 Likewise a defaulted parameter of a public top-level function must be set,
 by keyword or by position, by some call in ``src/maxbv`` or ``perfbench``;
 one that no such call sets is a constant.  The test seams that stay are
@@ -16,6 +20,7 @@ listed in ``KNOBS`` with their reason.
 """
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -133,6 +138,30 @@ def test_scan_ignores_a_re_export(tmp_path):
     )
     flagged = unreferenced_public_names(SRC + [orphan, init]) - unreferenced_public_names()
     assert flagged == {"orphan.only_exported"}
+
+
+def missing_benchmark_imports(bench=BENCH) -> set[str]:
+    """module.name of every name that a ``from maxbv.<module> import`` in a
+    perfbench file asks for and that module does not have."""
+    out = set()
+    for path in bench:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("maxbv."):
+                module = importlib.import_module(node.module)
+                out |= {f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)}
+    return out
+
+
+def test_every_name_the_benchmark_imports_exists():
+    missing = sorted(missing_benchmark_imports())
+    assert not missing, f"perfbench imports names that maxbv no longer has: {missing}"
+
+
+def test_benchmark_import_scan_flags_a_missing_name(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("from maxbv.paths import split_tables, no_such_kernel\n")
+    assert missing_benchmark_imports(BENCH + [planted]) == {"maxbv.paths.no_such_kernel"}
 
 
 def test_star_import_resolves_every_exported_name():

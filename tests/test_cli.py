@@ -343,7 +343,7 @@ samples = 2000
         assert code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("operation", ["malliavin.weak_symmetry", "malliavin.chain_vs_weak"])
+    @pytest.mark.parametrize("operation", ["malliavin.chain_vs_weak"])
     def test_unknown_functional(self, tmp_path, capsys, operation):
         config = write(tmp_path, f"[experiment:edge]\noperation = {operation}\ng = nope\n")
         message = "experiment:edge/g: unknown functional 'nope' (known: const1, coord,"

@@ -18,7 +18,6 @@ from maxbv.density import (
     segment_max_density,
     segment_max_mass,
     tv_bound_discrete,
-    tv_bound_table,
 )
 from maxbv.experiments import OPERATIONS
 from maxbv.fluctuation import halfline_prob_exact
@@ -139,7 +138,7 @@ class TestTVBound:
         assert r4.boundary == 2.0 * r1.boundary
 
     def test_sequence_trends(self):
-        rows = tv_bound_table([100, 400, 800], 1.0)
+        rows = [tv_bound_discrete(n, 1.0) for n in (100, 400, 800)]
         # bounded and slowly varying
         assert all(0 < r.total < 2.0 for r in rows)
         # boundary remainder strictly decreasing

@@ -138,6 +138,10 @@ class TestBatchTables:
         full = running_max_tables(values)
         for table, part in zip(full, split_tables(values, nodes)):
             assert np.array_equal(part, table[:, nodes])
+        # the one-node view, at each node (the cases cover 0..7 between them)
+        for t in nodes:
+            for table, part in zip(full, segment_split_stats(values, t)):
+                assert np.array_equal(part, table[:, t])
 
     def test_split_tables_on_production_chunk(self):
         rng = np.random.default_rng(1001)
@@ -153,6 +157,12 @@ class TestBatchTables:
     def test_split_tables_rejects_bad_nodes(self, nodes):
         with pytest.raises((ValueError, IndexError)):
             split_tables(np.zeros((2, 8)), nodes)
+
+    @pytest.mark.parametrize("t", [-2, -1, 8])
+    def test_split_stats_rejects_a_node_off_the_grid(self, t):
+        # a negative t would otherwise slice from the end of the row
+        with pytest.raises(IndexError):
+            segment_split_stats(np.zeros((2, 8)), t)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=12), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)
