@@ -2,6 +2,10 @@
 exact random-walk fluctuation identities, Gaussian perimeter computations,
 finite-difference Malliavin operators, the discrete total-variation bound for
 the second-derivative measure, and Monte Carlo concentration experiments.
+
+Paths are rows of (count, n+1) node-value arrays on a :class:`TimeGrid`,
+drawn by the batch samplers of :mod:`maxbv.sampling` inside the Monte Carlo
+driver.
 """
 
 __version__ = "0.1.0"
@@ -14,17 +18,9 @@ from .errors import (
     NonFiniteStatisticError,
     QuadratureError,
 )
-from .paths import Direction, DiscretePath, TimeGrid, direction_catalog
+from .paths import Direction, TimeGrid, direction_catalog
 from .cylindrical import CylindricalFunction, catalog, constant_one
-from .sampling import (
-    MCEstimate,
-    SeedSpec,
-    mc_collect,
-    mc_run,
-    mc_run_many,
-    sample_brownian,
-    sample_walk,
-)
+from .sampling import MCEstimate, SeedSpec, mc_collect, mc_run, mc_run_many
 
 __all__ = [
     "ConfigError",
@@ -34,7 +30,6 @@ __all__ = [
     "NonFiniteStatisticError",
     "QuadratureError",
     "Direction",
-    "DiscretePath",
     "TimeGrid",
     "direction_catalog",
     "CylindricalFunction",
@@ -45,7 +40,5 @@ __all__ = [
     "mc_collect",
     "mc_run",
     "mc_run_many",
-    "sample_brownian",
-    "sample_walk",
     "__version__",
 ]

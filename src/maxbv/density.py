@@ -221,16 +221,13 @@ def inner_arcsine_integral(t: float) -> float:
         raise ValueError("t must lie in [0, 1)")
     mid = 0.5 * (t + 1.0)
 
-    def left(v: float) -> float:
-        return 2.0 / math.sqrt(1.0 - t - v * v)
-
-    def right(w: float) -> float:
-        return 2.0 / math.sqrt(1.0 - t - w * w)
+    def integrand(x: float) -> float:  # the same in v and in w
+        return 2.0 / math.sqrt(1.0 - t - x * x)
 
     vmax = math.sqrt(mid - t)
     wmax = math.sqrt(1.0 - mid)
-    a, ea = _quad(left, 0.0, vmax, epsabs=1e-12, epsrel=1e-12)
-    b, eb = _quad(right, 0.0, wmax, epsabs=1e-12, epsrel=1e-12)
+    a, ea = _quad(integrand, 0.0, vmax, epsabs=1e-12, epsrel=1e-12)
+    b, eb = _quad(integrand, 0.0, wmax, epsabs=1e-12, epsrel=1e-12)
     if ea + eb > 1e-9:
         raise QuadratureError(f"inner quadrature error {ea + eb:.2e} too large")
     return a + b
@@ -246,7 +243,6 @@ def limit_integral() -> tuple[float, float]:
     def outer(r: float) -> float:
         return 2.0 * inner_arcsine_integral(r * r)
 
-    # the integrand is smooth in r on [0, 1); keep the endpoint open by eps
     value, err = _quad(
         outer, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200
     )

@@ -30,8 +30,6 @@ from .sampling import (
     brownian_values_batch,
     mc_run,
     mc_run_many,
-    sample_brownian,
-    sample_walk,
     walk_sums_batch,
 )
 
@@ -75,13 +73,13 @@ def _functional(text: Any) -> str:
 @dataclass(frozen=True)
 class Param:
     """A parameter's parser, its default, and optional range checks that
-    every element of a tuple value must meet too: an integer lower bound,
-    or ``positive`` for a float that must be > 0 (which rejects NaN).  Every
+    every element of a tuple value must meet too: a lower bound, or
+    ``positive`` for a float that must be > 0 (which rejects NaN).  Every
     float must be finite."""
 
     cast: Callable[[Any], Any]
     default: Any = _REQUIRED
-    minimum: int | None = None
+    minimum: float | None = None
     positive: bool = False
 
 
@@ -392,7 +390,8 @@ def _run_sigma_flat(p, seed, workers):
     est = malliavin.sigma_fd_zero_fraction(
         grid, p["samples"], seed, malliavin.FDConfig(eps=p["eps"]), workers=workers
     )
-    sigma, riemann_sum = malliavin.sigma_functional(sample_brownian(grid, seed))
+    values = brownian_values_batch(seed.generator(), 1, grid)[0]
+    sigma, riemann_sum = malliavin.sigma_functional(grid, values)
     return ExperimentResult([
         _bound_row("argmax-time-fd-zero-fraction", est.mean, ">=0.99", samples=est.samples),
         _row("argmax-time-running-gradient-identity", abs(sigma - riemann_sum),
@@ -615,9 +614,9 @@ def _run_worker_invariance(p, seed, workers):
     e8 = mc_run(statistic, samples, seed, workers=8)
     identical = e1 == e8
     grid = TimeGrid(n, p["horizon"])
-    walk = sample_walk(n, seed)
-    path = sample_brownian(grid, seed)
-    scaling = bool(np.array_equal(path.values, math.sqrt(grid.step) * walk))
+    values = brownian_values_batch(seed.generator(), 1, grid)
+    walk = walk_sums_batch(seed.generator(), 1, n)
+    scaling = bool(np.array_equal(values, math.sqrt(grid.step) * walk))
     return ExperimentResult([
         _holds("workers-1-vs-8-bit-identical", identical, samples=samples),
         _holds("brownian-equals-scaled-walk", scaling),
@@ -672,7 +671,7 @@ _register(
     offset=Param(float, 0.0),
     eps=Param(float, 0.01, positive=True),
     samples=Param(int, minimum=2),
-    slack=Param(float, 1e-4),
+    slack=Param(float, 1e-4, minimum=0),
 )
 _register(
     "perimeter.bridge",

@@ -27,7 +27,6 @@ import numpy as np
 from .cylindrical import CylindricalFunction
 from .paths import (
     Direction,
-    DiscretePath,
     TimeGrid,
     direction_catalog,
     direction_inner,
@@ -87,13 +86,9 @@ class KernelConfig:
         return np.maximum(0.0, 1.0 - np.abs(x / bandwidth)) / bandwidth
 
 
-def path_maximum(path: DiscretePath) -> float:
-    return float(path.values.max())
-
-
-def sigma_time(path: DiscretePath) -> float:
-    """First time the global maximum is attained."""
-    return path.grid.time_at(int(np.argmax(path.values)))  # first occurrence
+def sigma_time(grid: TimeGrid, values: np.ndarray) -> float:
+    """First time the global maximum of the node values is attained."""
+    return grid.time_at(int(np.argmax(values)))  # first occurrence
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +108,27 @@ def _second_difference_sum(f_pp, f_pm, f_mp, f_mm):
     )
 
 
-def fd_second(
-    F: Callable[[DiscretePath], float],
-    path: DiscretePath,
-    h: Direction,
-    k: Direction,
-    cfg: FDConfig,
-) -> float:
-    """Central mixed second difference of F along (h, k).
+def _max_second_difference(
+    values: np.ndarray, h: Direction, k: Direction, eps: float
+) -> np.ndarray:
+    """Per row of a (count, n+1) array, the alternating sum of the maximum
+    over the four bumps w +- eps h +- eps k; divided by 4 eps^2 it is the
+    central mixed second difference of M along (h, k).
 
-    Returns exactly 0.0 when the alternating sum falls below the rounding
-    resolution of the scheme (a few ulps of the functional values over
-    4 eps^2): magnitudes that small certify the absence of curvature rather
-    than measure it.  Genuine curvature signals, e.g. on a path whose
-    maximum is tied between two nodes, sit many orders of magnitude above
-    the floor and diverge like 1/eps.
+    The sum is exactly 0.0 below the rounding resolution of the scheme:
+    magnitudes that small certify the absence of curvature rather than
+    measure it.  Genuine curvature signals, e.g. on a path whose maximum is
+    tied between two nodes, sit many orders of magnitude above the floor
+    and diverge like 1/eps.
     """
     plus = h.primitive + k.primitive
     minus = h.primitive - k.primitive
-    grid, w = path.grid, path.values
-    f_pp = F(DiscretePath(grid, w + cfg.eps * plus))
-    f_pm = F(DiscretePath(grid, w + cfg.eps * minus))
-    f_mp = F(DiscretePath(grid, w - cfg.eps * minus))
-    f_mm = F(DiscretePath(grid, w - cfg.eps * plus))
-    return float(_second_difference_sum(f_pp, f_pm, f_mp, f_mm)) / (4.0 * cfg.eps * cfg.eps)
+    return _second_difference_sum(
+        (values + eps * plus).max(axis=1),
+        (values + eps * minus).max(axis=1),
+        (values - eps * minus).max(axis=1),
+        (values - eps * plus).max(axis=1),
+    )
 
 
 def tie_exclusion_threshold(eps: float, *directions: Direction) -> float:
@@ -209,17 +201,10 @@ def second_difference_zero_fraction(
     h = Direction.constant(grid)
     k = Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half")
     eps = cfg.eps
-    plus = h.primitive + k.primitive
-    minus = h.primitive - k.primitive
 
     def counts(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
-        zero = _second_difference_sum(
-            (values + eps * plus).max(axis=1),
-            (values + eps * minus).max(axis=1),
-            (values - eps * minus).max(axis=1),
-            (values - eps * plus).max(axis=1),
-        ) == 0.0
+        zero = _max_second_difference(values, h, k, eps) == 0.0
         included = top_two_gap(values) > tie_exclusion_threshold(eps, h, k)
         return included[:, None], (included & zero)[:, None]
 
@@ -231,10 +216,10 @@ def second_difference_zero_fraction(
 # Tied-peak path: the visible atom of the second-derivative measure
 # ---------------------------------------------------------------------------
 
-def two_peak_path(grid: TimeGrid) -> DiscretePath:
-    """Piecewise-linear path whose global maximum, half the horizon's square
-    root, is attained at exactly two nodes (identical float values), at 0.3
-    and 0.7 of the grid."""
+def two_peak_path(grid: TimeGrid) -> np.ndarray:
+    """Node values of a piecewise-linear path whose global maximum, half the
+    horizon's square root, is attained at exactly two nodes (identical float
+    values), at 0.3 and 0.7 of the grid."""
     n = grid.n
     first_frac, second_frac = _PEAK_FRACS
     scale = math.sqrt(grid.horizon)
@@ -244,7 +229,7 @@ def two_peak_path(grid: TimeGrid) -> DiscretePath:
     imid = (i0 + i1) // 2
     knots = np.array([0, i0, imid, i1, n], dtype=float)
     vals = np.array([0.0, peak, 0.1 * scale, peak, -0.2 * scale])
-    return DiscretePath(grid, np.interp(np.arange(n + 1, dtype=float), knots, vals))
+    return np.interp(np.arange(n + 1, dtype=float), knots, vals)
 
 
 def separating_direction(grid: TimeGrid) -> Direction:
@@ -259,18 +244,19 @@ def separating_direction(grid: TimeGrid) -> Direction:
 def tied_peak_second_differences(
     grid: TimeGrid, eps: float, halvings: int = 2
 ) -> list[float]:
-    """|fd_second(M)| on the tied-peak path at eps, eps/2, ..., eps/2^halvings.
+    """|Central second difference of M| along the separating direction on
+    the tied-peak path, at eps, eps/2, ..., eps/2^halvings.
 
     The maximum of two tied linear competitors has a genuine kink, so the
     magnitudes grow by a factor of 2 per halving (the 1/eps divergence that
     a measure-valued second derivative produces pointwise).
     """
-    path = two_peak_path(grid)
+    values = two_peak_path(grid)[None]
     h = separating_direction(grid)
     out = []
     e = eps
     for _ in range(halvings + 1):
-        out.append(abs(fd_second(path_maximum, path, h, h, FDConfig(eps=e))))
+        out.append(abs(float(_max_second_difference(values, h, h, e)[0]) / (4.0 * e * e)))
         e /= 2.0
     return out
 
@@ -517,19 +503,18 @@ def split_gap_density_mc(
 # The argmax time as a functional
 # ---------------------------------------------------------------------------
 
-def sigma_functional(path: DiscretePath) -> tuple[float, float]:
-    """sigma and its reconstruction from the running gradient of the maximum,
-    D_t max W = 1{max over [0, t] < max over (t, T]}, summed over the left
-    nodes times the step.
+def sigma_functional(grid: TimeGrid, values: np.ndarray) -> tuple[float, float]:
+    """sigma of one path's node values and its reconstruction from the
+    running gradient of the maximum, D_t max W = 1{max over [0, t] < max
+    over (t, T]}, summed over the left nodes times the step.
 
     The two should agree to within one grid cell (exactly, on the grid, except
     for endpoint rounding of the horizon); the ``sigma_flat`` row checks it.
     """
-    v = path.values
-    behind = np.maximum.accumulate(v)  # max of v[0..i]
-    ahead = np.maximum.accumulate(v[::-1])[::-1]  # max of v[i..n]
-    riemann = float((behind[:-1] < ahead[1:]).sum()) * path.grid.step
-    return sigma_time(path), riemann
+    behind = np.maximum.accumulate(values)  # max of values[0..i]
+    ahead = np.maximum.accumulate(values[::-1])[::-1]  # max of values[i..n]
+    riemann = float((behind[:-1] < ahead[1:]).sum()) * grid.step
+    return sigma_time(grid, values), riemann
 
 
 def sigma_fd_zero_fraction(

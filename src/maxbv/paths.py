@@ -1,7 +1,9 @@
-"""Uniform time grids, discrete Brownian paths, segment maxima, and
-Cameron-Martin directions.
+"""Uniform time grids, Cameron-Martin directions, and segment maxima of
+paths.
 
-Every other module speaks this vocabulary.  All types are immutable after
+Every other module speaks this vocabulary.  A path is a row of a
+(count, n+1) array of node values on a :class:`TimeGrid`, starting at 0; a
+single path is a one-row array.  All types are immutable after
 construction and all operations are pure functions, so everything here is
 safe to call from any number of concurrent workers.
 """
@@ -50,28 +52,6 @@ class TimeGrid:
 def _check_same_grid(a: TimeGrid, b: TimeGrid) -> None:
     if a != b:
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
-
-
-@dataclass(frozen=True, eq=False)
-class DiscretePath:
-    """A path sampled at the grid nodes, starting at exactly 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1,):
-            raise ValueError(
-                f"expected {self.grid.n + 1} values, got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("path values must be finite")
-        if values[0] != 0.0:
-            raise ValueError(f"paths start at 0, got w_0={values[0]}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)

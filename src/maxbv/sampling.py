@@ -1,14 +1,16 @@
-"""Reproducible Gaussian sampling and a deterministic parallel Monte Carlo
-driver.
+"""Batch Gaussian samplers and a deterministic parallel Monte Carlo driver.
 
-Two estimators fold on it: means of real-valued statistics
-(:func:`mc_run_many`) and ratios of path counts (:func:`mc_ratios`).
+The samplers draw a batch of paths, one per row, from one generator: walk
+partial sums (:func:`walk_sums_batch`), bridges (:func:`bridge_sums_batch`)
+and Brownian node values (:func:`brownian_values_batch`).  Two estimators
+fold on the driver: means of real-valued statistics (:func:`mc_run_many`)
+and ratios of path counts (:func:`mc_ratios`).
 
 Reproducibility contract: every sampler is a pure function of its inputs and
-a :class:`SeedSpec`; ``mc_run``, ``mc_run_many``, ``mc_ratios`` and
-``mc_collect`` partition work over a fixed number of substreams and reduce
-in ascending stream order, so results are bit-identical for any worker
-count.  The normal generator is pinned per build (numpy PCG64 via
+the generator's state, and a :class:`SeedSpec` names each generator;
+``mc_run``, ``mc_run_many``, ``mc_ratios`` and ``mc_collect`` partition work
+over a fixed number of substreams and reduce in ascending stream order, so
+results are bit-identical for any worker count.  The normal generator is pinned per build (numpy PCG64 via
 ``default_rng``) and recorded in run manifests; statistical acceptance bands
 absorb cross-platform generator differences.
 """
@@ -23,7 +25,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonFiniteStatisticError
-from .paths import DiscretePath, TimeGrid
+from .paths import TimeGrid
 
 #: Number of independent substreams mc_collect fans a job out over.  Fixed so
 #: the stream plan (and hence every estimate) is independent of worker count.
@@ -81,22 +83,8 @@ class MCEstimate:
         return abs(self.mean - reference) <= k * self.std_error + slack
 
 
-def sample_walk(n: int, seed: SeedSpec) -> np.ndarray:
-    """Partial sums W_0 = 0, W_1, ..., W_n of a length-n Gaussian random walk
-    drawn from the seeded stream."""
-    if n < 1:
-        raise ValueError("walk length must be at least 1")
-    return np.concatenate(([0.0], np.cumsum(seed.generator().standard_normal(n))))
-
-
-def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> DiscretePath:
-    """Brownian path on the grid: sqrt(step) times the walk's partial sums,
-    bit-identical to scaling ``sample_walk(grid.n, seed)``."""
-    return DiscretePath(grid, np.sqrt(grid.step) * sample_walk(grid.n, seed))
-
-
 # ---------------------------------------------------------------------------
-# Batch samplers used inside Monte Carlo tasks (one rng, many paths)
+# Batch samplers (one rng, many paths; a single path is a one-row batch)
 # ---------------------------------------------------------------------------
 
 def walk_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

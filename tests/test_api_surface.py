@@ -13,10 +13,11 @@ Every name that a ``perfbench`` file imports from ``maxbv`` must exist:
 ``pytest perfbench`` does not import every benchmark file, so a deleted
 name would otherwise break only the benchmark run.
 
-Likewise a defaulted parameter of a public top-level function must be set,
-by keyword or by position, by some call in ``src/maxbv`` or ``perfbench``;
-one that no such call sets is a constant.  The test seams that stay are
-listed in ``KNOBS`` with their reason.
+Likewise a defaulted parameter of a public top-level function, and a
+defaulted field of a public frozen dataclass (a config object), must be
+set, by keyword or by position, by some call in ``src/maxbv`` or
+``perfbench``; one that no such call sets is a constant.  The test seams
+that stay are listed in ``KNOBS`` with their reason.
 """
 
 import ast
@@ -50,9 +51,7 @@ ALLOWED = {
     "experiments.Criterion": "entry type of acceptance_criteria",
     "fluctuation.chi_square_sf": _HELPER,
     "fluctuation.ArgmaxHistogram": _RESULT,
-    "malliavin.path_maximum": _HELPER,
     "malliavin.sigma_time": _HELPER,
-    "malliavin.fd_second": _HELPER,
     "malliavin.tie_exclusion_threshold": _HELPER,
     "malliavin.two_peak_path": _HELPER,
     "malliavin.separating_direction": _HELPER,
@@ -67,6 +66,7 @@ _SEAM = "test seam: tests set it to exercise a case the callers never reach"
 KNOBS = {
     "sampling.mc_run(chunk_size=)": _SEAM + " (chunk boundaries)",
     "concentration.double_max_ladder(scatter_cap=)": _SEAM + " (a full reservoir)",
+    "malliavin.KernelConfig(bandwidth=)": _SEAM + " (a fixed bandwidth, not the pilot's)",
 }
 
 
@@ -189,6 +189,23 @@ def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
     return out
 
 
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True
+                for kw in d.keywords)
+        for d in cls.decorator_list
+    )
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, position) of each defaulted field of a dataclass: its
+    constructor takes the fields in order."""
+    fields = [node for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def _sets(call: ast.Call, param: str, position: int | None) -> bool:
     """Whether ``call`` may set ``param``: by keyword, through ``**``, or by
     a positional or starred argument that reaches its position."""
@@ -200,9 +217,11 @@ def _sets(call: ast.Call, param: str, position: int | None) -> bool:
 
 
 def unset_knobs(src=SRC) -> set[str]:
-    """module.function(param=) of every defaulted parameter of a public
-    top-level function that no call in src or perfbench sets.  Calls are
-    matched by the called name, bare or as an attribute."""
+    """module.name(param=) of every defaulted parameter of a public
+    top-level function, and every defaulted field of a public frozen
+    dataclass, that no call in src or perfbench sets.  Calls are matched by
+    the called name, bare or as an attribute; a dataclass is called by its
+    class name."""
     calls = defaultdict(list)
     for path in src + BENCH:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -212,11 +231,18 @@ def unset_knobs(src=SRC) -> set[str]:
                 calls[name].append(node)
     out = set()
     for path in src:
-        for fn in ast.parse(path.read_text()).body:
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                for param, position in _defaulted_parameters(fn):
-                    if not any(_sets(c, param, position) for c in calls[fn.name]):
-                        out.add(f"{path.stem}.{fn.name}({param}=)")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                knobs = _defaulted_parameters(node)
+            elif isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+                knobs = _defaulted_fields(node)
+            else:
+                continue
+            if node.name.startswith("_"):
+                continue
+            for param, position in knobs:
+                if not any(_sets(c, param, position) for c in calls[node.name]):
+                    out.add(f"{path.stem}.{node.name}({param}=)")
     return out
 
 
@@ -247,3 +273,23 @@ def test_scan_flags_a_knob_no_caller_sets(tmp_path):
     assert unset_knobs(SRC + [extra]) == unset_knobs()
     extra.write_text(extra.read_text().replace("2.0, **opts", "2.0"))
     assert unset_knobs(SRC + [extra]) - unset_knobs() == {"knobs.planted(bins=)"}
+
+
+def test_scan_flags_a_config_field_no_caller_sets(tmp_path):
+    extra = tmp_path / "configs.py"
+    extra.write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Planted:\n"
+        "    samples: int\n"
+        "    scale: float = 1.0\n"
+        "    bins: int = 10\n"
+        "    label: str = ''\n\n"
+        "def run(opts):\n"
+        "    Planted(100, 2.0, **opts)\n"
+        "    Planted(100, label='x')\n"
+    )
+    # scale is set by position and label by keyword; ** may set bins
+    assert unset_knobs(SRC + [extra]) == unset_knobs()
+    extra.write_text(extra.read_text().replace("2.0, **opts", "2.0"))
+    assert unset_knobs(SRC + [extra]) - unset_knobs() == {"configs.Planted(bins=)"}

@@ -373,6 +373,18 @@ samples = 2000
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_slack(self, tmp_path, capsys):
+        # the tolerance is 3*SE + slack: a negative slack would fail any value
+        body = "[experiment:edge]\noperation = perimeter.tube\nsamples = 2000\nslack = {}\n"
+        load_config(write(tmp_path, body.format(0)))  # no slack is valid
+        config = write(tmp_path, body.format(-1))
+        message = "experiment:edge/slack: must be >= 0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(config)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 #: Valid values of the registry parameters that have no default.
 REQUIRED_VALUES = {"n": "40", "samples": "2000", "eps": "0.02", "band": "0.01"}
@@ -480,8 +492,9 @@ def broken_configs(draw):
         elif kind == "<= 0":
             if spec.cast in INT_CASTS:
                 bad = str(draw(st.integers(-10**12, 0)))
-            else:
-                bad = repr(draw(st.floats(max_value=0.0, allow_nan=False)))
+            else:  # 0 is valid for a minimum=0 float, so draw below it
+                bad = repr(draw(st.floats(max_value=0.0, allow_nan=False,
+                                          exclude_max=spec.minimum == 0)))
         else:
             bad = draw(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf"]))
         if spec.cast in (_ints, _floats):  # one bad element among good ones

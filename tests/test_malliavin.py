@@ -16,8 +16,6 @@ from maxbv.malliavin import (
     SplitKernel,
     adjoint2_means,
     chain_vs_weak_paired,
-    fd_second,
-    path_maximum,
     second_adjoint_batch,
     second_difference_zero_fraction,
     separating_direction,
@@ -34,7 +32,6 @@ from maxbv.density import lt_zero_closed
 from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import (
     Direction,
-    DiscretePath,
     TimeGrid,
     direction_catalog,
     direction_inner,
@@ -48,7 +45,6 @@ from maxbv.sampling import (
     brownian_values_batch,
     mc_collect,
     mc_run,
-    sample_brownian,
     stream_counts,
 )
 
@@ -58,39 +54,53 @@ CFG = FDConfig(eps=1e-5)
 
 
 def brownian(stream=0, grid=GRID):
-    return sample_brownian(grid, SeedSpec(5150, stream))
+    """The node values of one Brownian path."""
+    return brownian_values_batch(SeedSpec(5150, stream).generator(), 1, grid)[0]
 
 
-def fd_directional(F, path, h, cfg):
+def fd_directional(F, values, h, cfg):
     """Central difference (F(w + eps h) - F(w - eps h)) / (2 eps): the
     oracle of the gradient identity."""
-    up = F(DiscretePath(path.grid, path.values + cfg.eps * h.primitive))
-    down = F(DiscretePath(path.grid, path.values - cfg.eps * h.primitive))
+    up = F(values + cfg.eps * h.primitive)
+    down = F(values - cfg.eps * h.primitive)
     return (up - down) / (2.0 * cfg.eps)
+
+
+def fd_second(F, values, h, k, eps):
+    """Central mixed second difference of F along (h, k) on one path, with
+    the alternating sum certified to 0 below rounding: the single-path
+    oracle of the batch kernel ``malliavin._max_second_difference``."""
+    plus = h.primitive + k.primitive
+    minus = h.primitive - k.primitive
+    total = malliavin._second_difference_sum(
+        F(values + eps * plus), F(values + eps * minus),
+        F(values - eps * minus), F(values - eps * plus),
+    )
+    return float(total) / (4.0 * eps * eps)
 
 
 class TestFDDirectional:
     def test_terminal_value_is_linear(self):
         path = brownian(1)
         for h in (Direction.constant(GRID), Direction.indicator(GRID, 0.2, 0.7)):
-            fd = fd_directional(lambda p: float(p.values[-1]), path, h, CFG)
+            fd = fd_directional(lambda w: float(w[-1]), path, h, CFG)
             assert fd == pytest.approx(h.primitive[-1], abs=1e-9)
 
     def test_max_gradient_is_primitive_at_argmax(self):
         path = brownian(2)
         h = Direction.constant(GRID)
-        stat = sigma_time(path)
-        fd = fd_directional(path_maximum, path, h, CFG)
+        stat = sigma_time(GRID, path)
+        fd = fd_directional(np.max, path, h, CFG)
         assert fd == pytest.approx(stat, abs=1e-9)
 
     def test_density_supported_past_argmax_gives_zero(self):
         path = brownian(3)
-        sigma = sigma_time(path)
+        sigma = sigma_time(GRID, path)
         if sigma > 0.95:  # need room after the argmax
             path = brownian(4)
-            sigma = sigma_time(path)
+            sigma = sigma_time(GRID, path)
         h = Direction.indicator(GRID, sigma + 0.01, 1.0)
-        fd = fd_directional(path_maximum, path, h, CFG)
+        fd = fd_directional(np.max, path, h, CFG)
         assert fd == 0.0
 
     def test_constant_functional(self):
@@ -103,19 +113,30 @@ class TestFDSecond:
         path = brownian(6)
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
-        val = fd_second(lambda p: float(p.values[-1]), path, h, k, FDConfig(eps=1e-3))
+        val = fd_second(lambda w: float(w[-1]), path, h, k, 1e-3)
         assert val == 0.0
 
     def test_max_zero_off_tie_set(self):
-        cfg = FDConfig(eps=1e-3)
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
         zeros = 0
         for stream in range(20):
             path = brownian(100 + stream)
-            val = fd_second(path_maximum, path, h, k, cfg)
+            val = fd_second(np.max, path, h, k, 1e-3)
             zeros += val == 0.0
         assert zeros >= 19  # ties are excluded by chance only
+
+    def test_batch_kernel_is_the_single_path_oracle(self):
+        eps = 1e-3
+        h = Direction.constant(GRID)
+        k = Direction.indicator(GRID, 0.0, 0.5)
+        sep = separating_direction(GRID)
+        rows = np.stack([brownian(100 + stream) for stream in range(20)])
+        for values, a, b in [(rows, h, k), (two_peak_path(GRID)[None], sep, sep)]:
+            got = malliavin._max_second_difference(values, a, b, eps) / (4.0 * eps * eps)
+            assert got.tolist() == [fd_second(np.max, w, a, b, eps) for w in values]
+        tied = abs(fd_second(np.max, two_peak_path(GRID), sep, sep, eps))
+        assert tied_peak_second_differences(GRID, eps, halvings=0) == [tied]
 
     def test_tied_peaks_diverge_like_one_over_eps(self):
         mags = tied_peak_second_differences(GRID, 1e-3, halvings=3)
@@ -128,7 +149,7 @@ class TestFDSecond:
         path = two_peak_path(GRID)
         h = separating_direction(GRID)
         eps = 1e-3
-        val = fd_second(path_maximum, path, h, h, FDConfig(eps=eps))
+        val = fd_second(np.max, path, h, h, eps)
         s0, s1 = 0.3, 0.7
         expected = (h.primitive[round(s1 * GRID.n)] - h.primitive[round(s0 * GRID.n)]) / (
             2 * eps
@@ -253,8 +274,8 @@ class TestSecondAdjoint:
         path = brownian(7)
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
-        val = float(second_adjoint_batch(constant_one(GRID), k, h, path.values))
-        ik, ih = wiener_integral_batch((k, h), path.values)
+        val = float(second_adjoint_batch(constant_one(GRID), k, h, path))
+        ik, ih = wiener_integral_batch((k, h), path)
         expected = ik * ih - direction_inner(k, h)
         assert val == pytest.approx(expected, rel=1e-12)
 
@@ -289,7 +310,7 @@ class TestSecondAdjoint:
     def test_disjoint_zero_densities(self):
         path = brownian(10)
         zero = Direction(GRID, np.zeros(GRID.n), label="null")
-        val = float(second_adjoint_batch(constant_one(GRID), zero, zero, path.values))
+        val = float(second_adjoint_batch(constant_one(GRID), zero, zero, path))
         assert val == 0.0
 
     def test_pathwise_symmetric_in_directions(self):
@@ -599,16 +620,16 @@ class TestMemoryBudget:
 
 class TestSigma:
     def test_monotone_paths(self):
-        up = DiscretePath(GRID, np.linspace(0.0, 1.0, GRID.n + 1))
-        down = DiscretePath(GRID, np.linspace(0.0, -1.0, GRID.n + 1))
-        assert sigma_time(up) == GRID.horizon
-        assert sigma_time(down) == 0.0
-        assert sigma_functional(up)[1] == pytest.approx(GRID.horizon, abs=GRID.step)
-        assert sigma_functional(down)[1] == 0.0
+        up = np.linspace(0.0, 1.0, GRID.n + 1)
+        down = np.linspace(0.0, -1.0, GRID.n + 1)
+        assert sigma_time(GRID, up) == GRID.horizon
+        assert sigma_time(GRID, down) == 0.0
+        assert sigma_functional(GRID, up)[1] == pytest.approx(GRID.horizon, abs=GRID.step)
+        assert sigma_functional(GRID, down)[1] == 0.0
 
     def test_riemann_reconstruction_on_samples(self):
         for stream in range(5):
-            sigma, riemann_sum = sigma_functional(brownian(30 + stream))
+            sigma, riemann_sum = sigma_functional(GRID, brownian(30 + stream))
             assert abs(sigma - riemann_sum) <= GRID.step
 
     def test_fd_zero_fraction(self):
@@ -627,7 +648,8 @@ class TestSigma:
 
         assert identity_row().passed is True
         step = TimeGrid(100, 1.0).step
-        monkeypatch.setattr(malliavin, "sigma_time", lambda path: sigma_time(path) + 2 * step)
+        monkeypatch.setattr(malliavin, "sigma_time",
+                            lambda grid, values: sigma_time(grid, values) + 2 * step)
         row = identity_row()
         assert row.passed is False
         assert row.value > row.tolerance

@@ -1,6 +1,5 @@
-"""Path-core contracts: grids, path validation, directions and their Wiener
-integrals, and the vectorized running-max tables with first-attainment
-argmax."""
+"""Path-core contracts: grids, directions and their Wiener integrals, and
+the vectorized running-max tables with first-attainment argmax."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from maxbv.paths import (
     Direction,
-    DiscretePath,
     TimeGrid,
     direction_catalog,
     direction_inner,
@@ -18,11 +16,6 @@ from maxbv.paths import (
     top_two_gap,
     wiener_integral_batch,
 )
-
-
-def path_of(values, horizon=1.0):
-    values = np.asarray(values, dtype=float)
-    return DiscretePath(TimeGrid(len(values) - 1, horizon), values)
 
 
 def segment_max(values, a, b):
@@ -58,9 +51,9 @@ class TestDirection:
 
     def test_wiener_integral_left_endpoint(self):
         grid = TimeGrid(3, 1.0)
-        p = DiscretePath(grid, np.array([0.0, 1.0, -1.0, 2.0]))
+        values = np.array([[0.0, 1.0, -1.0, 2.0]])
         h = Direction(grid, np.array([2.0, 0.0, 1.0]))
-        integral = wiener_integral_batch(h, p.values[None, :])
+        integral = wiener_integral_batch(h, values)
         assert integral.tolist() == [2.0 * 1.0 + 0.0 * (-2.0) + 1.0 * 3.0]
 
     def test_inner_product(self):
@@ -75,21 +68,6 @@ class TestDirection:
         assert [d.label for d in cat] == ["unit", "front-half", "tent"]
         tent = cat[2]
         assert tent.primitive[-1] == pytest.approx(0.0, abs=1e-15)
-
-
-class TestPathValidation:
-    def test_nonzero_start_rejected(self):
-        with pytest.raises(ValueError):
-            path_of([1.0, 0.0])
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            DiscretePath(TimeGrid(3, 1.0), np.zeros(3))
-
-    def test_values_read_only(self):
-        p = path_of([0, 1, 2])
-        with pytest.raises(ValueError):
-            p.values[0] = 5.0
 
 
 class TestBatchTables:

@@ -1,9 +1,13 @@
 """Sampler laws and the deterministic Monte Carlo driver contract."""
 
+import math
+
 import numpy as np
 import pytest
 
+from maxbv import experiments
 from maxbv.errors import NonFiniteStatisticError
+from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import TimeGrid
 from maxbv.sampling import (
     SeedSpec,
@@ -12,8 +16,6 @@ from maxbv.sampling import (
     mc_collect,
     mc_run,
     mc_run_many,
-    sample_brownian,
-    sample_walk,
     stay_below_count,
     stream_counts,
     walk_sums_batch,
@@ -34,11 +36,8 @@ class TestSeedSpec:
 
 
 class TestWalk:
-    def test_deterministic(self):
-        assert np.array_equal(sample_walk(16, SEED), sample_walk(16, SEED))
-
     def test_partial_sums_consistent(self):
-        w = sample_walk(32, SEED)
+        (w,) = walk_sums_batch(SEED.generator(), 1, 32)
         assert w.shape == (33,) and w[0] == 0.0
         assert np.array_equal(w[1:], np.cumsum(SEED.generator().standard_normal(32)))
 
@@ -56,18 +55,8 @@ class TestWalk:
         )
         assert est.within(0.5)
 
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            sample_walk(0, SEED)
-
 
 class TestBrownian:
-    def test_equals_scaled_walk_bitwise(self):
-        grid = TimeGrid(64, 2.0)
-        path = sample_brownian(grid, SEED)
-        walk = sample_walk(64, SEED)
-        assert np.array_equal(path.values, np.sqrt(grid.step) * walk)
-
     @pytest.mark.parametrize("horizon", [1.0, 2.0, 0.3])
     def test_batch_scaled_in_place_bitwise(self, horizon):
         grid = TimeGrid(1000, horizon)
@@ -101,6 +90,26 @@ class TestBrownian:
         ref = 2 * norm.sf(0.5)
         # discrete monitoring undershoots the continuous maximum
         assert est.within(ref, slack=0.02)
+
+    def test_scaled_walk_row_fails_one_ulp_off(self, monkeypatch):
+        # the row is the check: a sampler that scales by one ulp too much must FAIL
+        spec = ExperimentSpec("workers", "sampling.worker_invariance",
+                              dict(n=64, horizon=2.0, samples=2000), 3)
+
+        def verdicts():
+            return {row.check: row.passed for row in run_experiment(spec, 777).rows}
+
+        assert verdicts() == {"workers-1-vs-8-bit-identical": True,
+                              "brownian-equals-scaled-walk": True}
+
+        def one_ulp_more(rng, count, grid):
+            out = walk_sums_batch(rng, count, grid.n)
+            out *= np.nextafter(math.sqrt(grid.step), 2)
+            return out
+
+        monkeypatch.setattr(experiments, "brownian_values_batch", one_ulp_more)
+        assert verdicts() == {"workers-1-vs-8-bit-identical": True,
+                              "brownian-equals-scaled-walk": False}
 
 
 def _bridge_sums_with_origin(rng, count, n):
