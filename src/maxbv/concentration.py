@@ -36,7 +36,13 @@ Measured and left out (per-row SE at equal evaluated paths, n = 1000):
 - two speed-ups that keep the streams, slower on the ``census`` benchmark
   workload: a row-blocked ``walk_sums_batch`` (28.8 -> 22.7 ns/node in
   isolation, +0.3-0.5 s end to end in 3 of 3 pairs), and chunks of 64-128
-  rows instead of 1024 (2.17 -> 2.49-2.55 s in-process at workers 2).
+  rows instead of 1024 (2.17 -> 2.49-2.55 s in-process at workers 2);
+- normals drawn straight into the path buffer one row per RNG call (peak
+  RSS 62.6 -> 51.9 MB, but wall 2.43 -> 2.77 s in the median of 5 runs at
+  workers 2).  What is kept instead is one RNG call per chunk into the
+  tail of the path buffer and a cumsum in 64-row blocks
+  (:func:`maxbv.sampling.walk_sums_batch`), with an in-place top-two gap:
+  ``census`` peak RSS 62.9 -> 52.3 MB at the same wall time (10 pairs).
 """
 
 from __future__ import annotations
@@ -220,13 +226,14 @@ def double_max_ladder(
         unseparated = (hit & ~separated[..., None]).sum(axis=(0, 1))
         sums = ratio_sums(cond.sum(axis=0), hit.sum(axis=0))
         counts = np.vstack((sums, unseparated))
-        # boolean indexing walks the views in order, each in stream order
+        # boolean indexing walks the views in order, each in stream order;
+        # the reservoirs are copies, since a slice would pin the whole array
         kept = np.stack((left, right), axis=-1)[gap < widths[-1]]
-        return counts, kept[:per_stream_cap]
+        return counts, kept[:per_stream_cap].copy()
 
     def combine(a, b):
         counts = a[0] + b[0]
-        scatter = np.vstack((a[1], b[1]))[:scatter_cap]
+        scatter = np.vstack((a[1], b[1]))[:scatter_cap].copy()
         return counts, scatter
 
     counts, scatter = mc_collect(

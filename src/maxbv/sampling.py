@@ -87,11 +87,31 @@ class MCEstimate:
 # Batch samplers (one rng, many paths; a single path is a one-row batch)
 # ---------------------------------------------------------------------------
 
+#: Rows per in-place cumsum block of :func:`walk_sums_batch`.
+_CUMSUM_ROWS = 64
+
+
 def walk_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """(count, n+1) array of walk partial sums, first column exactly 0."""
+    """(count, n+1) array of walk partial sums, first column exactly 0.
+
+    The output is the only path-sized array: one ``standard_normal`` call
+    fills its contiguous tail ``out.reshape(-1)[count:]`` with the count*n
+    normals, row by row, and the cumsum then runs forward in blocks of
+    ``_CUMSUM_ROWS`` rows into ``out[:, 1:]``.  Row i's normals sit
+    count-1-i slots to the right of its sums, so a block never writes where
+    a later block reads, and numpy buffers the overlap inside a block (a
+    block-sized temporary).  The numbers are bit-identical to the cumsum of
+    ``rng.standard_normal((count, n))`` into a separate buffer, and the
+    generator advances the same way.  Blocked RNG calls and one call per
+    row were measured slower end to end (see :mod:`maxbv.concentration`).
+    """
     out = np.empty((count, n + 1))
+    z = out.reshape(-1)[count:].reshape(count, n)
+    rng.standard_normal(out=z)
+    for r in range(0, count, _CUMSUM_ROWS):
+        s = slice(r, r + _CUMSUM_ROWS)
+        np.cumsum(z[s], axis=1, out=out[s, 1:])
     out[:, 0] = 0.0
-    np.cumsum(rng.standard_normal((count, n)), axis=1, out=out[:, 1:])
     return out
 
 
@@ -110,7 +130,9 @@ def brownian_values_batch(
 ) -> np.ndarray:
     """(count, n+1) array of Brownian node values on the grid: the walk's
     partial sums scaled by sqrt(step) in place, bit-identical to
-    ``np.sqrt(grid.step) * walk_sums_batch(...)`` without its temporary."""
+    ``np.sqrt(grid.step) * walk_sums_batch(...)`` without its temporary.
+    The returned array is the only path-sized allocation (see
+    :func:`walk_sums_batch`)."""
     out = walk_sums_batch(rng, count, grid.n)
     out *= math.sqrt(grid.step)
     return out

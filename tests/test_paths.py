@@ -1,6 +1,8 @@
 """Path-core contracts: grids, directions and their Wiener integrals, and
 the vectorized running-max tables with first-attainment argmax."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,36 @@ class TestBatchTables:
         top2 = np.partition(values, n - 1, axis=1)[:, -2:]
         assert np.array_equal(top_two_gap(values), top2[:, 1] - top2[:, 0])
         assert np.array_equal(values, before)  # the input is left untouched
+
+
+class TestTopTwoGapInPlace:
+    """top_two_gap writes -inf at each row's argmax and then puts the same
+    float back, so the input comes back bit for bit and is never copied."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0.0, 2.0, 2.0, 1.0], [0.0, 3.0, 3.0, 3.0], [0.0, -1.0, -1.0, -2.0]]),
+        # the negated W_0 of concentration._both_signs
+        -np.array([[0.0, 0.5, -0.25], [0.0, -1.5, -1.5]]),
+        np.array([[-0.0, -0.0, -1.0], [-0.0, 0.0, -0.0]]),
+        np.array([[0.0], [-0.0], [2.5]]),
+    ], ids=["tie-rows", "negated-path", "signed-zero-ties", "one-column"])
+    def test_input_restored_bitwise(self, values):
+        before = values.tobytes()
+        expected = np.sort(values, axis=1)
+        expected = expected[:, -1] - (expected[:, -2] if values.shape[1] > 1 else -np.inf)
+        assert np.array_equal(top_two_gap(values), expected)
+        assert values.tobytes() == before
+
+    def test_no_copy_of_the_input(self):
+        values = np.random.default_rng(3).standard_normal((1024, 1001))
+        top_two_gap(values)
+        tracemalloc.start()
+        try:
+            top_two_gap(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * values.nbytes  # a copy would be 1.0
 
 
 class TestWienerIntegralBatch:

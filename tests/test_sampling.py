@@ -1,6 +1,7 @@
 """Sampler laws and the deterministic Monte Carlo driver contract."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,41 @@ class TestWalk:
             SEED,
         )
         assert est.within(0.5)
+
+
+def _two_buffer_walk_sums(rng, count, n):
+    """The earlier walk_sums_batch, kept as the oracle: the normals drawn
+    into their own (count, n) array and summed into a second one."""
+    out = np.empty((count, n + 1))
+    out[:, 0] = 0.0
+    np.cumsum(rng.standard_normal((count, n)), axis=1, out=out[:, 1:])
+    return out
+
+
+class TestWalkSumsInPlace:
+    @pytest.mark.parametrize("count, n", [(1, 1), (1, 5), (63, 2), (64, 3), (65, 1),
+                                          (130, 7), (782, 1000), (1024, 1000)])
+    def test_bitwise_the_two_buffer_formula(self, count, n):
+        rng, ref_rng = SEED.generator(), SEED.generator()
+        got = walk_sums_batch(rng, count, n)
+        ref = _two_buffer_walk_sums(ref_rng, count, n)
+        assert got.shape == (count, n + 1)
+        assert got.tobytes() == ref.tobytes()
+        # the generator is left in the same state
+        assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
+
+    def test_peak_is_one_path_buffer(self):
+        count, n = 1024, 1000
+        rng = SEED.generator()
+        walk_sums_batch(rng, count, n)  # first-call allocations are not paths
+        tracemalloc.start()
+        try:
+            walk_sums_batch(rng, count, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two-buffer formula peaks at 2.00 buffers, the in-place one at 1.06
+        assert peak <= 1.15 * count * (n + 1) * 8
 
 
 class TestBrownian:
