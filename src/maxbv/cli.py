@@ -236,11 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     master_seed = _run_option("seed", _override(args.seed, run_opts["seed"]))
     workers = _run_option("workers", _override(args.workers, run_opts["workers"]))
     out_dir = _resolve_out(args.out, run_opts["out"])
-    try:
-        results = run_suite(specs, master_seed, workers)
-    except MaxBVError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suite(specs, master_seed, workers)
     ok = _write_outputs(out_dir, results, specs, master_seed, workers)
     _print_rows(results)
     print(f"wrote {out_dir}/manifest.json")
@@ -248,21 +244,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    master_seed = _run_option("seed", _override(args.seed, DEFAULT_MASTER_SEED))
-    workers = _run_option("workers", _override(args.workers, 1))
-    out_dir = _resolve_out(args.out, None)
-    try:
-        return _verify(args.preset, out_dir, master_seed, workers)
-    except MaxBVError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _verify(preset: str, out_dir: Path, master_seed: int, workers: int) -> int:
     """Run the quick preset as one group and print its rows, or the full
     preset criterion by criterion, printing each criterion's verdict as soon
     as it finishes."""
-    if preset == "quick":
+    master_seed = _run_option("seed", _override(args.seed, DEFAULT_MASTER_SEED))
+    workers = _run_option("workers", _override(args.workers, 1))
+    out_dir = _resolve_out(args.out, None)
+    if args.preset == "quick":
         groups = [(None, quick_preset())]
     else:
         groups = [(c, c.experiments) for c in acceptance_criteria()]
@@ -284,9 +272,9 @@ def _verify(preset: str, out_dir: Path, master_seed: int, workers: int) -> int:
                   f"{'PASS' if passed else 'FAIL'}  {criterion.title}")
         results.update(done)
     ok = _write_outputs(out_dir, results, specs, master_seed, workers)
-    if preset == "quick":
+    if args.preset == "quick":
         _print_rows(results)
-    print(f"verify {preset}: {'PASS' if ok else 'FAIL'}")
+    print(f"verify {args.preset}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -459,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MaxBVError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -177,13 +177,11 @@ class DoubleMaxSummary:
     """Conditioned joint behaviour of the two segment excesses at one eps."""
 
     eps: float
-    delta: float
     conditioned: int
     both_fraction: float
     std_error: float
     argmax_separated: bool  # left argmax < t < right argmax on counted paths
     scatter: np.ndarray  # (k, 2) reservoir of (left_excess, right_excess)
-    seed: SeedSpec
 
 
 def double_max_ladder(
@@ -241,18 +239,16 @@ def double_max_ladder(
     )
     out = []
     for i, e in enumerate(epss):
-        est = ratio_estimate(counts[:5, i], seed)
+        est = ratio_estimate(counts[:5, i])
         require_counted(est.samples, f"samples satisfied |gap| < {e}")
         out.append(
             DoubleMaxSummary(
                 eps=e,
-                delta=delta,
                 conditioned=est.samples,
                 both_fraction=est.mean,
                 std_error=est.std_error,
                 argmax_separated=bool(counts[5, i] == 0),
                 scatter=scatter,
-                seed=seed,
             )
         )
     return out

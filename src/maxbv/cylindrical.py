@@ -33,7 +33,6 @@ class PolynomialOuter:
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[-1]
         out = np.zeros(x.shape)
         for coef, exps in self.terms:
             for j, e in enumerate(exps):

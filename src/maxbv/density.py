@@ -167,7 +167,6 @@ class TVBoundRow:
     """
 
     n: int
-    horizon: float
     total: float
     boundary: float
 
@@ -203,7 +202,6 @@ def tv_bound_discrete(n: int, horizon: float = 1.0) -> TVBoundRow:
     scale = math.sqrt(horizon / n) * HALFSPACE_PERIMETER
     return TVBoundRow(
         n=n,
-        horizon=horizon,
         total=float(scale * total),
         boundary=float(scale * boundary),
     )

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .paths import top_two_gap
 from .sampling import (
     MCEstimate,
     SeedSpec,
@@ -110,7 +111,7 @@ def _stay_below_estimate(
         workers=workers,
         chunk_size=STAY_BELOW_CHUNK,
     )
-    return moment_estimate(samples, hits, hits, seed)
+    return moment_estimate(samples, hits, hits)
 
 
 def mc_halfline_prob(
@@ -183,13 +184,10 @@ def chi_square_sf(df: int, x: float) -> float:
 class ArgmaxHistogram:
     """First-argmax census of bridge partial sums W_0..W_{n-1}."""
 
-    n: int
     counts: tuple[int, ...]
     ties: int
     samples: int
-    chi_square: float
     p_value: float
-    seed: SeedSpec
 
     def rows(self) -> list[tuple[int, int]]:
         return list(enumerate(self.counts))
@@ -198,26 +196,22 @@ class ArgmaxHistogram:
 def _argmax_census(sums: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-position counts of the argmax of W_0..W_{n-1} and the number of
     rows whose maximum is attained more than once, from bridge sums
-    W_1..W_n (overwritten).
+    W_1..W_n.
 
     W_n = W_0 = 0, so the row is W_0..W_{n-1} rotated by one: argmax j maps
     to position (j + 1) % n.  On a tie row the position may differ from the
     first argmax of W_0..W_{n-1}; those rows are the counted ties.
     """
-    count, n = sums.shape
-    rows = np.arange(count)
-    arg = sums.argmax(axis=1)
-    m = sums[rows, arg]
-    sums[rows, arg] = -np.inf
-    ties = int((sums.max(axis=1) == m).sum())
-    return np.bincount((arg + 1) % n, minlength=n), ties
+    n = sums.shape[1]
+    ties = int((top_two_gap(sums) == 0.0).sum())
+    return np.bincount((sums.argmax(axis=1) + 1) % n, minlength=n), ties
 
 
 def bridge_argmax_histogram(
     n: int, samples: int, seed: SeedSpec, *, workers: int = 1
 ) -> ArgmaxHistogram:
     """Histogram of the first argmax position of W_0..W_{n-1} over sampled
-    bridges, with a chi-square statistic against the uniform law on n cells.
+    bridges, with the chi-square p-value against the uniform law on n cells.
 
     The forced W_n = 0 is excluded from the census (it duplicates W_0 in the
     cyclic picture).  Exact float ties of the maximum are counted and
@@ -235,13 +229,9 @@ def bridge_argmax_histogram(
     counts, ties = mc_collect(task, samples, seed, combine=combine, workers=workers)
     expected = samples / n
     chi2 = float(((counts - expected) ** 2 / expected).sum())
-    p_value = chi_square_sf(n - 1, chi2)
     return ArgmaxHistogram(
-        n=n,
         counts=tuple(int(c) for c in counts),
         ties=ties,
         samples=samples,
-        chi_square=chi2,
-        p_value=p_value,
-        seed=seed,
+        p_value=chi_square_sf(n - 1, chi2),
     )

@@ -117,22 +117,20 @@ def direction_catalog(grid: TimeGrid) -> list[Direction]:
     ]
 
 
-def wiener_integral_batch(h, values: np.ndarray):
-    """Discrete Wiener integral sum_i density[i] * (w_{i+1} - w_i) of h' over
-    each row of a (batch, n+1) array of node values (left-endpoint weights).
+def wiener_integral_batch(h: tuple[Direction, ...], values: np.ndarray):
+    """Discrete Wiener integrals sum_i density[i] * (w_{i+1} - w_i), one per
+    direction of the tuple ``h``, over each row of a (batch, n+1) array of
+    node values (left-endpoint weights).
 
-    ``h`` may also be a tuple of directions: the increments are then formed
-    once and a tuple of integrals is returned, one per direction.  A
-    direction whose density equals an earlier one's reuses that integral,
-    which is bitwise what a separate call would give.
+    The increments are formed once, and a tuple of integrals is returned.
+    A direction whose density equals an earlier one's reuses that integral,
+    which is bitwise what its own product would give.
 
     The increments are one path-sized temporary.  Forming them in row
     blocks would drop it, but the gemv over a block is not bitwise the gemv
     over the whole array: with threaded OpenBLAS, a few rows of a 782-row
     chunk at n >= 1000 differ in the last ulp.
     """
-    if isinstance(h, Direction):
-        return np.diff(values, axis=-1) @ h.density
     increments = np.diff(values, axis=-1)
     out: list[np.ndarray] = []
     for i, d in enumerate(h):

@@ -20,7 +20,6 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -30,8 +29,6 @@ def format_cell(x: Any) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(float(x))  # plain shortest round-trip, also for numpy scalars
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if x is None:
         return ""
     return str(x)

@@ -56,13 +56,9 @@ class SeedSpec:
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
-    def seed_sequence(self, *branch: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index, *branch)
-        )
-
     def generator(self, *branch: int) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence(*branch))
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index, *branch))
+        return np.random.default_rng(seq)
 
     @property
     def label(self) -> str:
@@ -71,16 +67,16 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Mean, standard error (sample std / sqrt(samples)), count, and seed."""
+    """Mean, standard error (sample std / sqrt(samples)) and sample count.
+
+    An estimate is its numbers: the caller holds the :class:`SeedSpec` it
+    passed in, ``run_experiment`` stamps each row with its seed label, and
+    :func:`maxbv.reporting.verdict` gates a row against its tolerance.
+    """
 
     mean: float
     std_error: float
     samples: int
-    seed: SeedSpec
-
-    def within(self, reference: float, k: float = 3.0, slack: float = 0.0) -> bool:
-        """True if ``reference`` lies inside mean +/- (k*std_error + slack)."""
-        return abs(self.mean - reference) <= k * self.std_error + slack
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +232,7 @@ def mc_collect(
     return acc
 
 
-def moment_estimate(count, s1, s2, seed: SeedSpec) -> MCEstimate:
+def moment_estimate(count, s1, s2) -> MCEstimate:
     """Mean and standard error from a sample count and the sums of the
     values and of their squares."""
     n = int(count)
@@ -246,7 +242,6 @@ def moment_estimate(count, s1, s2, seed: SeedSpec) -> MCEstimate:
         mean=float(mean),
         std_error=float(np.sqrt(var / n)),
         samples=n,
-        seed=seed,
     )
 
 
@@ -299,7 +294,7 @@ def mc_run_many(
         workers=workers,
         chunk_size=chunk_size,
     )
-    return [moment_estimate(count, s1, s2, seed) for count, s1, s2 in moments]
+    return [moment_estimate(count, s1, s2) for count, s1, s2 in moments]
 
 
 def mc_run(
@@ -345,7 +340,7 @@ def ratio_sums(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     )
 
 
-def ratio_estimate(sums: Sequence[int], seed: SeedSpec) -> MCEstimate:
+def ratio_estimate(sums: Sequence[int]) -> MCEstimate:
     """Conditional fraction R = sum h / sum c from iid per-draw counts, with
     the delta-method standard error
     SE^2 = (sum h^2 - 2 R sum hc + R^2 sum c^2) / (sum c)^2.
@@ -357,11 +352,9 @@ def ratio_estimate(sums: Sequence[int], seed: SeedSpec) -> MCEstimate:
     """
     sc, sc2, sh, sh2, shc = (int(x) for x in sums)
     if sc == 0:
-        return MCEstimate(mean=0.0, std_error=0.0, samples=0, seed=seed)
+        return MCEstimate(mean=0.0, std_error=0.0, samples=0)
     num = sc * sc * sh2 - 2 * sc * sh * shc + sh * sh * sc2
-    return MCEstimate(
-        mean=sh / sc, std_error=math.sqrt(num) / (sc * sc), samples=sc, seed=seed
-    )
+    return MCEstimate(mean=sh / sc, std_error=math.sqrt(num) / (sc * sc), samples=sc)
 
 
 def require_counted(counted: int, what: str) -> None:
@@ -393,4 +386,4 @@ def mc_ratios(
         return ratio_sums(*counts(rng, count))
 
     sums = mc_collect(task, samples, seed, combine=np.add, workers=workers)
-    return [ratio_estimate(col, seed) for col in sums.T]
+    return [ratio_estimate(col) for col in sums.T]

@@ -9,6 +9,12 @@ module (result types, helpers of one estimator, subcommand handlers) are
 listed below with the reason they stay public.  A helper that nothing outside the tests calls
 belongs in the tests.
 
+The same holds one level down: a public method or property of a public
+class must be referenced by name from some ``src/maxbv`` or ``perfbench``
+file outside its own ``def``.  Fields are left out of this scan on purpose:
+a field name such as ``seed`` or ``n`` is shared by many types, so a
+reference by name would not say which type's field was read.
+
 Every name that a ``perfbench`` file imports from ``maxbv`` must exist:
 ``pytest perfbench`` does not import every benchmark file, so a deleted
 name would otherwise break only the benchmark run.
@@ -70,16 +76,25 @@ KNOBS = {
 }
 
 
-def _referenced_names(path: Path) -> set[str]:
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names that ``tree`` refers to, leaving out the subtree ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
     return names
+
+
+def _referenced_names(path: Path) -> set[str]:
+    return _names(ast.parse(path.read_text()))
 
 
 def _public_definitions(path: Path) -> list[str]:
@@ -138,6 +153,64 @@ def test_scan_ignores_a_re_export(tmp_path):
     )
     flagged = unreferenced_public_names(SRC + [orphan, init]) - unreferenced_public_names()
     assert flagged == {"orphan.only_exported"}
+
+
+def unreferenced_public_methods(src=SRC) -> set[str]:
+    """module.Class.method of every public method or property of a public
+    top-level class that no src module and no perfbench file refers to
+    outside the method's own ``def``; an ``__init__.py`` is not a
+    referrer."""
+    trees = {path: ast.parse(path.read_text()) for path in src + BENCH}
+    refs = {path: _names(tree) for path, tree in trees.items()
+            if path.name != "__init__.py"}
+    out = set()
+    for path in src:
+        others = [names for other, names in refs.items() if other != path]
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if not any(fn.name in names
+                           for names in [_names(trees[path], skip=fn), *others]):
+                    out.add(f"{path.stem}.{cls.name}.{fn.name}")
+    return out
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    unused = sorted(unreferenced_public_methods())
+    assert not unused, (
+        f"public methods and properties that only the tests refer to: "
+        f"{unused}; move them into the tests"
+    )
+
+
+def test_method_scan_flags_a_test_only_method(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "class Estimate:\n"
+        "    def used(self):\n"
+        "        return self.recursive()\n\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n\n"
+        "    @property\n"
+        "    def only_tests_read_me(self):\n"
+        "        return 1\n\n"
+        "    def _private(self):\n"
+        "        return 2\n\n"
+        "def run(e):\n"
+        "    return e.used()\n"
+    )
+    # recursive is referenced from used; its own def does not count
+    assert unreferenced_public_methods(SRC + [planted]) - unreferenced_public_methods() == {
+        "planted.Estimate.only_tests_read_me"
+    }
+    planted.write_text(planted.read_text().replace("return self.recursive()\n\n    def rec",
+                                                   "return 0\n\n    def rec"))
+    assert unreferenced_public_methods(SRC + [planted]) - unreferenced_public_methods() == {
+        "planted.Estimate.only_tests_read_me", "planted.Estimate.recursive"
+    }
 
 
 def missing_benchmark_imports(bench=BENCH) -> set[str]:

@@ -254,13 +254,18 @@ class TestBadRunOptions:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
-    def test_verify_reports_toolkit_errors(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_reports_toolkit_errors(self, tmp_path, capsys, monkeypatch, verb):
         def fail(*args, **kwargs):
             raise InsufficientSamplesError("only 3 effective samples")
 
         monkeypatch.setattr(cli, "run_suite", fail)
-        assert main(["verify", "--out", str(tmp_path / "o")]) == 2
-        assert "only 3 effective samples" in capsys.readouterr().err
+        argv = [verb, "--out", str(tmp_path / "o")]
+        if verb == "run":
+            argv += ["--config", str(write(tmp_path, GOOD_CONFIG))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: only 3 effective samples\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 class TestBadExperimentParams:

@@ -320,9 +320,7 @@ class TestRatioEstimate:
         rng = np.random.default_rng(5)
         c = (rng.random(5_000) < 0.3).astype(np.int64)
         h = c & (rng.random(5_000) < 0.6)
-        est = sampling.ratio_estimate(
-            sampling.ratio_sums(c[:, None], h[:, None])[:, 0], SEED
-        )
+        est = sampling.ratio_estimate(sampling.ratio_sums(c[:, None], h[:, None])[:, 0])
         n, p = int(c.sum()), h.sum() / c.sum()
         assert est.samples == n
         assert est.mean == p
@@ -335,12 +333,12 @@ class TestRatioEstimate:
         sums = sampling.ratio_sums(c, h)
         assert sums.shape == (5, 3)
         for i in range(3):
-            est = sampling.ratio_estimate(sums[:, i], SEED)
+            est = sampling.ratio_estimate(sums[:, i])
             assert est.mean == h[:, i].sum() / c.sum()
             assert est.std_error == pytest.approx(
                 delta_method_se(c[:, 0], h[:, i]), rel=1e-12
             )
 
     def test_no_counted_path_reads_zero(self):
-        est = sampling.ratio_estimate([0, 0, 0, 0, 0], SEED)
+        est = sampling.ratio_estimate([0, 0, 0, 0, 0])
         assert (est.mean, est.std_error, est.samples) == (0.0, 0.0, 0)

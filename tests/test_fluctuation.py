@@ -18,6 +18,7 @@ from maxbv.fluctuation import (
     mc_halfline_prob,
     rational_str,
 )
+from maxbv.reporting import verdict
 from maxbv.sampling import (
     SeedSpec,
     bridge_sums_batch,
@@ -68,20 +69,20 @@ class TestSeries:
 class TestMC:
     def test_halfline_n1(self):
         est = mc_halfline_prob(1, 100_000, SEED)
-        assert est.within(0.5)
+        assert verdict(est.mean, 0.5, 3 * est.std_error)
 
     def test_halfline_n10_vs_exact(self):
         est = mc_halfline_prob(10, 100_000, SEED)
-        assert est.within(float(halfline_prob_exact(10)))
+        assert verdict(est.mean, float(halfline_prob_exact(10)), 3 * est.std_error)
 
     def test_halfline_n50(self):
         est = mc_halfline_prob(50, 200_000, SEED)
-        assert est.within(float(halfline_prob_exact(50)))
+        assert verdict(est.mean, float(halfline_prob_exact(50)), 3 * est.std_error)
 
     def test_bridge_stay_small_n(self):
         for n in (2, 10):
             est = mc_bridge_stay_prob(n, 100_000, SeedSpec(424242, n))
-            assert est.within(1.0 / n), (n, est.mean, est.std_error)
+            assert verdict(est.mean, 1.0 / n, 3 * est.std_error), (n, est.mean, est.std_error)
 
 
 class TestArgmaxHistogram:
@@ -143,6 +144,7 @@ class TestArgmaxHistogram:
         sums = origin[:, 1:].copy()
         counts, ties = _argmax_census(sums)
         assert ties == int(tied.sum())
+        assert np.array_equal(sums, origin[:, 1:])  # the input is left as it was
         untied = np.bincount(head[~tied].argmax(axis=1), minlength=n)
         clean, _ = _argmax_census(origin[~tied, 1:].copy())
         assert (clean == untied).all()

@@ -38,6 +38,7 @@ from maxbv.paths import (
     running_max_tables,
     wiener_integral_batch,
 )
+from maxbv.reporting import verdict
 from maxbv.sampling import (
     DEFAULT_CHUNK,
     N_SUBSTREAMS,
@@ -285,7 +286,7 @@ class TestSecondAdjoint:
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
         (est,) = adjoint2_means([(g, None)], k, h, GRID, 50_000, SeedSpec(5150, 8))
-        assert est.within(0.0), (ident, est.mean, est.std_error)
+        assert verdict(est.mean, 0.0, 3 * est.std_error), (ident, est.mean, est.std_error)
 
     def test_weighted_by_coordinate_mean_zero(self):
         h = Direction.constant(GRID)
@@ -294,7 +295,7 @@ class TestSecondAdjoint:
             [(constant_one(GRID), catalog_entry(GRID, "coord"))], k, h, GRID, 50_000,
             SeedSpec(5150, 9),
         )
-        assert est.within(0.0)
+        assert verdict(est.mean, 0.0, 3 * est.std_error)
 
     def test_shared_draw_rows_equal_single_pair_runs(self):
         h = Direction.constant(GRID)

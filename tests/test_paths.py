@@ -55,7 +55,7 @@ class TestDirection:
         grid = TimeGrid(3, 1.0)
         values = np.array([[0.0, 1.0, -1.0, 2.0]])
         h = Direction(grid, np.array([2.0, 0.0, 1.0]))
-        integral = wiener_integral_batch(h, values)
+        (integral,) = wiener_integral_batch((h,), values)
         assert integral.tolist() == [2.0 * 1.0 + 0.0 * (-2.0) + 1.0 * 3.0]
 
     def test_inner_product(self):
@@ -220,5 +220,5 @@ class TestWienerIntegralBatch:
         together = wiener_integral_batch(directions, values)
         assert len(together) == 4
         for d, integral in zip(directions, together):
-            assert np.array_equal(integral, wiener_integral_batch(d, values))
+            assert np.array_equal(integral, np.diff(values, axis=-1) @ d.density)
         assert together[2] is together[1]  # equal densities share one product
