@@ -26,6 +26,7 @@ import numpy as np
 
 from .cylindrical import CylindricalFunction
 from .paths import (
+    _ROW_BLOCK,
     Direction,
     TimeGrid,
     direction_catalog,
@@ -37,7 +38,6 @@ from .paths import (
     wiener_integral_batch,
 )
 from .sampling import (
-    DEFAULT_CHUNK,
     MCEstimate,
     SeedSpec,
     brownian_values_batch,
@@ -380,10 +380,10 @@ class SplitKernel:
     least-covered node.  ``bandwidth`` is ``kcfg.bandwidth`` or, when that
     is unset, samples^(-1/5) times the std of the gap at the middle node,
     estimated from a deterministic pilot stream.  The pilot is drawn from
-    that one stream in ``DEFAULT_CHUNK``-row pieces, keeping only each
-    piece's gaps; ``standard_normal`` fills rows in order, so the pieces
-    hold the numbers of a one-shot draw, and no estimator holds more than
-    one chunk's paths.
+    that one stream in 64-row pieces (``paths._ROW_BLOCK``), keeping only
+    each piece's gaps; ``standard_normal`` fills rows in order, so the
+    pieces hold the numbers of a one-shot draw, and the pilot's paths are
+    a small fraction of one driver chunk.
     """
 
     kcfg: KernelConfig
@@ -400,7 +400,7 @@ class SplitKernel:
             t = int(t_idx[len(t_idx) // 2])
             stats = (
                 segment_split_stats(brownian_values_batch(rng, c, grid), t)
-                for c in chunk_sizes(_PILOT_COUNT, DEFAULT_CHUNK)
+                for c in chunk_sizes(_PILOT_COUNT, _ROW_BLOCK)
             )
             gaps = np.concatenate([max_r - max_l for max_l, _, max_r, _ in stats])
             b = samples ** (-0.2) * float(np.std(gaps))

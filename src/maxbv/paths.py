@@ -117,26 +117,46 @@ def direction_catalog(grid: TimeGrid) -> list[Direction]:
     ]
 
 
+#: Rows per block of the row-blocked kernels (:func:`wiener_integral_batch`,
+#: the cumsum of :func:`maxbv.sampling.walk_sums_batch`, the split kernel's
+#: pilot).  64 rows because a block of n = 1000 increments (0.5 MB) stays in
+#: L2; because blocks of a multiple of 8 rows gave the bits of one
+#: single-thread OpenBLAS gemv over the whole array (blocks of 1, 3 or 7 rows
+#: did not); and because a gemv this size stays on the calling thread, so a
+#: Monte Carlo worker does not start OpenBLAS threads on top of the pool.
+_ROW_BLOCK = 64
+
+
 def wiener_integral_batch(h: tuple[Direction, ...], values: np.ndarray):
     """Discrete Wiener integrals sum_i density[i] * (w_{i+1} - w_i), one per
     direction of the tuple ``h``, over each row of a (batch, n+1) array of
-    node values (left-endpoint weights).
+    node values (left-endpoint weights); a 1-D path gives 0-d integrals.
 
-    The increments are formed once, and a tuple of integrals is returned.
-    A direction whose density equals an earlier one's reuses that integral,
-    which is bitwise what its own product would give.
+    The increments are formed ``_ROW_BLOCK`` rows at a time in one scratch
+    block, and each direction's gemv runs over that block, so no
+    path-sized temporary is held.  A direction whose density equals an
+    earlier one's shares that result object, which is bitwise what its own
+    product would give.
 
-    The increments are one path-sized temporary.  Forming them in row
-    blocks would drop it, but the gemv over a block is not bitwise the gemv
-    over the whole array: with threaded OpenBLAS, a few rows of a 782-row
-    chunk at n >= 1000 differ in the last ulp.
+    The bits do not depend on the OpenBLAS thread count or on the row
+    split: a 64-row gemv is the single-thread gemv over the whole array.
+    One gemv over a whole chunk is not: with threaded OpenBLAS, a few rows
+    of a 500- or 782-row chunk at n >= 1000 differ in the last ulp.
     """
-    increments = np.diff(values, axis=-1)
-    out: list[np.ndarray] = []
-    for i, d in enumerate(h):
-        same = next((j for j in range(i) if same_density(h[j], d)), None)
-        out.append(increments @ d.density if same is None else out[same])
-    return tuple(out)
+    rows = np.atleast_2d(values)
+    count, width = rows.shape
+    first = [next(j for j in range(i + 1) if same_density(h[j], d))
+             for i, d in enumerate(h)]
+    integrals = {j: np.empty(count) for j in first}
+    scratch = np.empty((min(count, _ROW_BLOCK), width - 1))
+    for r in range(0, count, _ROW_BLOCK):
+        s = slice(r, r + _ROW_BLOCK)
+        block = scratch[: min(count - r, _ROW_BLOCK)]
+        np.subtract(rows[s, 1:], rows[s, :-1], out=block)
+        for j, out in integrals.items():
+            np.matmul(block, h[j].density, out=out[s])
+    shaped = {j: out.reshape(values.shape[:-1]) for j, out in integrals.items()}
+    return tuple(shaped[j] for j in first)
 
 
 def same_density(h: Direction, k: Direction) -> bool:

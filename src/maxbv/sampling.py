@@ -10,9 +10,12 @@ Reproducibility contract: every sampler is a pure function of its inputs and
 the generator's state, and a :class:`SeedSpec` names each generator;
 ``mc_run``, ``mc_run_many``, ``mc_ratios`` and ``mc_collect`` partition work
 over a fixed number of substreams and reduce in ascending stream order, so
-results are bit-identical for any worker count.  The normal generator is pinned per build (numpy PCG64 via
-``default_rng``) and recorded in run manifests; statistical acceptance bands
-absorb cross-platform generator differences.
+results are bit-identical for any worker count.  The Wiener integrals inside
+a statistic are formed in row blocks that stay on the calling thread (see
+:func:`maxbv.paths.wiener_integral_batch`), so their bits do not depend on
+the OpenBLAS thread count either.  The normal generator is pinned per build
+(numpy PCG64 via ``default_rng``) and recorded in run manifests; statistical
+acceptance bands absorb cross-platform generator differences.
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import InsufficientSamplesError, NonFiniteStatisticError
-from .paths import TimeGrid
+from .paths import _ROW_BLOCK, TimeGrid
 
 #: Number of independent substreams mc_collect fans a job out over.  Fixed so
 #: the stream plan (and hence every estimate) is independent of worker count.
 N_SUBSTREAMS = 64
 
 #: Default samples per task invocation; bounds peak memory for path batches.
-#: The split kernel's bandwidth pilot is drawn in pieces of this size too, so
-#: no estimator holds more than one chunk's paths.
+#: A chunk is the one path-sized array an estimator holds: the Wiener
+#: increments are formed in row blocks, and the split kernel's bandwidth
+#: pilot is drawn in row blocks, each far smaller than a chunk.
 DEFAULT_CHUNK = 1024
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -83,17 +87,13 @@ class MCEstimate:
 # Batch samplers (one rng, many paths; a single path is a one-row batch)
 # ---------------------------------------------------------------------------
 
-#: Rows per in-place cumsum block of :func:`walk_sums_batch`.
-_CUMSUM_ROWS = 64
-
-
 def walk_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """(count, n+1) array of walk partial sums, first column exactly 0.
 
     The output is the only path-sized array: one ``standard_normal`` call
     fills its contiguous tail ``out.reshape(-1)[count:]`` with the count*n
     normals, row by row, and the cumsum then runs forward in blocks of
-    ``_CUMSUM_ROWS`` rows into ``out[:, 1:]``.  Row i's normals sit
+    ``_ROW_BLOCK`` rows into ``out[:, 1:]``.  Row i's normals sit
     count-1-i slots to the right of its sums, so a block never writes where
     a later block reads, and numpy buffers the overlap inside a block (a
     block-sized temporary).  The numbers are bit-identical to the cumsum of
@@ -104,8 +104,8 @@ def walk_sums_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     out = np.empty((count, n + 1))
     z = out.reshape(-1)[count:].reshape(count, n)
     rng.standard_normal(out=z)
-    for r in range(0, count, _CUMSUM_ROWS):
-        s = slice(r, r + _CUMSUM_ROWS)
+    for r in range(0, count, _ROW_BLOCK):
+        s = slice(r, r + _ROW_BLOCK)
         np.cumsum(z[s], axis=1, out=out[s, 1:])
     out[:, 0] = 0.0
     return out

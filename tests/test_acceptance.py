@@ -10,6 +10,7 @@ compares its CSVs against a single-worker run.
 """
 
 import os
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ WORKERS = os.cpu_count() or 1
 
 def run_criterion(number: int, capsys=None) -> None:
     criterion = CRITERIA[number]
+    start = time.perf_counter()
     failures = []
     for spec in criterion.experiments:
         result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=WORKERS)
@@ -32,7 +34,8 @@ def run_criterion(number: int, capsys=None) -> None:
                     f"reference={row.reference} tolerance={row.tolerance}"
                 )
     verdict = "PASS" if not failures else "FAIL"
-    print(f"ACCEPTANCE {number:>2} {verdict}  {criterion.title}")
+    wall = time.perf_counter() - start
+    print(f"ACCEPTANCE {number:>2} {verdict} ({wall:.1f} s)  {criterion.title}")
     assert not failures, "\n".join(failures)
 
 
@@ -44,6 +47,7 @@ def test_criterion(number):
 def test_criterion_14_reproducibility(tmp_path):
     # worker invariance from the registry, CSV byte-identity via the CLI hook
     criterion = CRITERIA[14]
+    start = time.perf_counter()
     failures = []
     for spec in criterion.experiments:
         result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=WORKERS)
@@ -51,5 +55,6 @@ def test_criterion_14_reproducibility(tmp_path):
     repro = reproducibility_check(DEFAULT_MASTER_SEED, 1, tmp_path)
     failures += [r.check for r in repro.rows if r.passed is False]
     verdict = "PASS" if not failures else "FAIL"
-    print(f"ACCEPTANCE 14 {verdict}  {criterion.title}")
+    wall = time.perf_counter() - start
+    print(f"ACCEPTANCE 14 {verdict} ({wall:.1f} s)  {criterion.title}")
     assert not failures, failures

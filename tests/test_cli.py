@@ -24,6 +24,7 @@ from maxbv.experiments import (
     _ints,
     acceptance_criteria,
     quick_preset,
+    run_experiment,
     validate_params,
 )
 from maxbv.sampling import SeedSpec
@@ -681,6 +682,25 @@ class TestPresets:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Registered operations", 1)[1].split("```")[1]
         assert sorted(block.split()) == sorted(OPERATIONS)
+
+
+class TestRowSeed:
+    """A row's ``seed`` column is the one provenance a result keeps: the
+    master seed and the experiment's own stream."""
+
+    @staticmethod
+    def labels_and_expected():
+        spec = next(s for s in quick_preset() if s.exp_id == "halfline-mc")
+        return {r.seed for r in run_experiment(spec, 4321).rows}, f"4321/{spec.stream}"
+
+    def test_every_row_names_its_stream(self):
+        labels, expected = self.labels_and_expected()
+        assert labels == {expected}
+
+    def test_a_label_without_the_stream_is_caught(self, monkeypatch):
+        monkeypatch.setattr(SeedSpec, "label", property(lambda s: str(s.master_seed)))
+        labels, expected = self.labels_and_expected()
+        assert labels != {expected}
 
 
 class TestRepeatedListValues:

@@ -623,6 +623,13 @@ class TestMemoryBudget:
     def test_peak_within_three_chunk_buffers(self, name):
         assert _budget_peak(name) <= 3
 
+    @pytest.mark.parametrize("name", ["chain_vs_weak_paired", "adjoint2_means"])
+    def test_chain_route_holds_one_path_buffer(self, name):
+        # the Wiener increments and the pilot come in row blocks, so the
+        # chunk's paths are the one path-sized array: measured 1.43 and
+        # 1.31 (2.19 and 2.17 with whole-chunk increments)
+        assert _budget_peak(name) <= 1.5
+
 
 class TestCensusMemoryBudget:
     """The concentration estimators draw samples/2 or samples/4 paths, so a

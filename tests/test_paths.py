@@ -1,12 +1,17 @@
 """Path-core contracts: grids, directions and their Wiener integrals, and
 the vectorized running-max tables with first-attainment argmax."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maxbv
 from maxbv.paths import (
     Direction,
     TimeGrid,
@@ -18,6 +23,7 @@ from maxbv.paths import (
     top_two_gap,
     wiener_integral_batch,
 )
+from maxbv.sampling import SeedSpec, brownian_values_batch
 
 
 def segment_max(values, a, b):
@@ -208,7 +214,40 @@ class TestTopTwoGapInPlace:
         assert peak <= 0.1 * values.nbytes  # a copy would be 1.0
 
 
+def chunk_integrals(rows=None):
+    """The integrals of the front-half indicator and the constant direction
+    on a 782x1001 Brownian chunk, as one byte string; ``rows`` forms them
+    over row slices of that size and concatenates."""
+    grid = TimeGrid(1000, 1.0)
+    values = brownian_values_batch(SeedSpec(3, 782).generator(), 782, grid)
+    directions = (Direction.indicator(grid, 0.0, 0.5), Direction.constant(grid))
+    step = rows or len(values)
+    parts = [wiener_integral_batch(directions, values[r : r + step])
+             for r in range(0, len(values), step)]
+    return b"".join(np.concatenate(column).tobytes() for column in zip(*parts))
+
+
 class TestWienerIntegralBatch:
+    def test_bits_independent_of_blas_threads_and_row_split(self):
+        # one gemv over the whole chunk differed from single-thread OpenBLAS
+        # in the last ulp of a few rows at this size (n = 1000, 782 rows)
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_paths import chunk_integrals\n"
+            "sys.stdout.buffer.write(chunk_integrals())\n"
+        )
+        src = str(Path(maxbv.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        together = chunk_integrals()
+        assert together == proc.stdout
+        assert together == chunk_integrals(rows=64)
+
     def test_tuple_form_is_bitwise_the_single_calls(self):
         grid = TimeGrid(200, 1.0)
         rng = np.random.default_rng(7)
