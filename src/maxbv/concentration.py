@@ -20,7 +20,8 @@ delta-method error of a ratio over the iid per-draw counts
   draw is evaluated as W, -W, W~ (W_k -> 2 W_t - W_k for k >= t) and -W~
   (:func:`_segment_views`).
 - ``unique_max_check`` reads the top-two gap of the whole path, which W and
-  W~ often share, so it keeps W and -W (:func:`_both_signs`).
+  W~ often share, so it keeps W and -W, reading the top-two gap of -W as
+  the bottom-two gap of W (:func:`maxbv.paths.bottom_two_gap`).
 
 Measured and left out (per-row SE at equal evaluated paths, n = 1000):
 
@@ -33,16 +34,31 @@ Measured and left out (per-row SE at equal evaluated paths, n = 1000):
 - reflection of the walk and bridge operations (``fluctuation``): their
   rows ``stay-below-n1`` and ``bridge-stay-n2`` test exactly the sign
   symmetry, so the estimator would be 1/2 with standard error 0;
-- two speed-ups that keep the streams, slower on the ``census`` benchmark
-  workload: a row-blocked ``walk_sums_batch`` (28.8 -> 22.7 ns/node in
-  isolation, +0.3-0.5 s end to end in 3 of 3 pairs), and chunks of 64-128
-  rows instead of 1024 (2.17 -> 2.49-2.55 s in-process at workers 2);
+- a row-blocked ``walk_sums_batch``, which keeps the streams but was
+  slower on the ``census`` benchmark workload (28.8 -> 22.7 ns/node in
+  isolation, +0.3-0.5 s end to end in 3 of 3 pairs);
+- chunks of 64-128 rows instead of 1024 while the -W views still negated
+  the path buffer in place (2.17 -> 2.49-2.55 s in-process at workers 2);
 - normals drawn straight into the path buffer one row per RNG call (peak
   RSS 62.6 -> 51.9 MB, but wall 2.43 -> 2.77 s in the median of 5 runs at
   workers 2).  What is kept instead is one RNG call per chunk into the
   tail of the path buffer and a cumsum in 64-row blocks
   (:func:`maxbv.sampling.walk_sums_batch`), with an in-place top-two gap:
-  ``census`` peak RSS 62.9 -> 52.3 MB at the same wall time (10 pairs).
+  ``census`` peak RSS 62.9 -> 52.3 MB at the same wall time (10 pairs);
+- 256-row chunks for every :func:`maxbv.sampling.mc_ratios` user: the
+  per-chunk driver cost dominates narrow statistics, and
+  ``perimeter.offband`` (3-wide rows, workers 1) took 0.064 -> 0.123 s per
+  run in-process, about +4% of a ``walks`` benchmark pass.  The other
+  users keep ``DEFAULT_CHUNK``.
+
+What is kept: the three estimators here draw in 256-row chunks
+(``_CHUNK``) and read the -W views from W without negating it
+(:func:`maxbv.paths.bottom_two_gap`, :func:`_segment_views`): ``census``
+peak RSS 52.57 -> 45.78 MB, lower in 10 of 10 pairs, with wall 2.24 ->
+2.23 s and CPU 3.88 -> 3.79 s (medians, 2 vCPUs).  In-process at
+workers 2 (15 passes each) the census read 1.911 s, 1.932 s with 256-row
+chunks and the in-place negation kept, and 1.846 s with both, so the
+negation-free views are what keeps the smaller chunks from costing time.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import TimeGrid, segment_split_stats, top_two_gap
+from .paths import _ROW_BLOCK, TimeGrid, bottom_two_gap, top_two_gap
 from .sampling import (
     MCEstimate,
     SeedSpec,
@@ -65,24 +81,16 @@ from .sampling import (
 )
 
 
+#: Draws per chunk of the census estimators: 2 MB of path at n = 1000, a
+#: quarter of the driver's default chunk.  Their fractions fold exact integer
+#: counts, so the chunk size moves memory and time but no estimate.
+_CHUNK = 4 * _ROW_BLOCK
+
+
 def _draws(samples: int, views: int) -> int:
     """Brownian draws that give ``samples`` evaluated paths, ``views`` per
     draw."""
     return -(-samples // views)
-
-
-def _both_signs(values: np.ndarray, view) -> np.ndarray:
-    """Per-draw sums of ``view`` over the paths W in ``values`` and their
-    reflections -W.
-
-    ``view(values)`` returns per-path counts or indicators, one row per path.
-    ``values`` is negated in place, so the view must reduce or copy what it
-    reads before it returns: a slice such as ``values[:, t]`` changes sign
-    with the flip.  No second path buffer is allocated.
-    """
-    first = view(values)
-    np.negative(values, out=values)
-    return np.add(first, view(values), dtype=np.int64)
 
 
 def _segment_views(
@@ -95,15 +103,25 @@ def _segment_views(
     W~ reflects the segment after t around W_t, so its right excess is the
     right excess B' = W_t - min_[t,T] W of -W, and its right argmax is the
     first right argmin of W; -W~ pairs the left segment of -W with the
-    right segment of W.  Two passes give all four: over W and, after
-    ``values`` is negated in place, over -W.
+    right segment of W.  So each segment [0, t] and [t, n] needs its first
+    argmax and first argmin: the segment is copied once (half a chunk) and
+    both are taken from the copy, one segment at a time.  ``values`` is only
+    read.  The -W views are bitwise those of a negated buffer: argmax(-x) is
+    the first argmin of x, and W_t - min rounds exactly like
+    (-min) + W_t.
     """
-    max_l, arg_l, max_r, arg_r = segment_split_stats(values, t_index)
-    w_t = values[:, t_index].copy()
-    np.negative(values, out=values)
-    neg_l, neg_arg_l, neg_r, neg_arg_r = segment_split_stats(values, t_index)
-    a, b = max_l - w_t, max_r - w_t
-    a_neg, b_neg = neg_l + w_t, neg_r + w_t
+    w_t = values[:, t_index]
+    rows = np.arange(len(values))
+
+    def extremes(start: int, stop: int):
+        segment = values[:, start:stop].copy()
+        arg_max, arg_min = segment.argmax(axis=1), segment.argmin(axis=1)
+        excess = segment[rows, arg_max] - w_t
+        excess_neg = w_t - segment[rows, arg_min]
+        return excess, excess_neg, start + arg_max, start + arg_min
+
+    a, a_neg, arg_l, neg_arg_l = extremes(0, t_index + 1)
+    b, b_neg, arg_r, neg_arg_r = extremes(t_index, values.shape[1])
     return (
         np.stack((a, a_neg, a, a_neg)),
         np.stack((b, b_neg, b_neg, b)),
@@ -127,14 +145,18 @@ def unique_max_check(
     """
     thr = np.asarray(thresholds, dtype=float)
 
-    def view(values):
-        gap = top_two_gap(values)
+    def view(gap):
         return np.column_stack((gap == 0.0, gap[:, None] < thr))
 
     def counts(rng: np.random.Generator, count: int):
-        return 2, _both_signs(brownian_values_batch(rng, count, grid), view)
+        values = brownian_values_batch(rng, count, grid)
+        # the top-two gap of -W is the bottom-two gap of W
+        hits = np.add(view(top_two_gap(values)), view(bottom_two_gap(values)),
+                      dtype=np.int64)
+        return 2, hits
 
-    return mc_ratios(counts, _draws(samples, 2), seed, workers=workers)
+    return mc_ratios(counts, _draws(samples, 2), seed, workers=workers,
+                     chunk_size=_CHUNK)
 
 
 def excess_conditional_ladder(
@@ -167,7 +189,8 @@ def excess_conditional_ladder(
         small = (left[..., None] < dl) | (right[..., None] < dl)
         return cond.sum(axis=0)[:, None], (small & cond[..., None]).sum(axis=0)
 
-    ests = mc_ratios(counts, _draws(samples, 4), seed, workers=workers)
+    ests = mc_ratios(counts, _draws(samples, 4), seed, workers=workers,
+                     chunk_size=_CHUNK)
     require_counted(ests[0].samples, f"samples satisfied |gap| < {eps}")
     return ests
 
@@ -201,9 +224,10 @@ def double_max_ladder(
     Counted paths are also checked for strict argmax separation
     (left argmax < t < right argmax), which positive excesses force.
     ``samples`` is rounded up to a multiple of four paths, four views per
-    draw.  Scatter reservoirs keep the first few conditioned pairs per chunk
-    (views in the order W, -W, W~, -W~) and merge them in stream order, so
-    they are deterministic too.
+    draw.  The scatter reservoir is the first ``scatter_cap`` conditioned
+    (left, right) excess pairs at the widest eps, in stream order, draw
+    order within a stream and view order (W, -W, W~, -W~) within a draw, so
+    it depends neither on the worker count nor on the chunk size.
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
@@ -211,7 +235,6 @@ def double_max_ladder(
     if epss[0] <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
     widths = np.asarray(epss)
-    per_stream_cap = max(8, scatter_cap // 32)
 
     def task(rng: np.random.Generator, count: int):
         values = brownian_values_batch(rng, count, grid)
@@ -224,10 +247,10 @@ def double_max_ladder(
         unseparated = (hit & ~separated[..., None]).sum(axis=(0, 1))
         sums = ratio_sums(cond.sum(axis=0), hit.sum(axis=0))
         counts = np.vstack((sums, unseparated))
-        # boolean indexing walks the views in order, each in stream order;
-        # the reservoirs are copies, since a slice would pin the whole array
-        kept = np.stack((left, right), axis=-1)[gap < widths[-1]]
-        return counts, kept[:per_stream_cap].copy()
+        # boolean indexing walks the draws in order, the views within each;
+        # the reservoir is a copy, since a slice would pin the whole array
+        kept = np.stack((left.T, right.T), axis=-1)[gap.T < widths[-1]]
+        return counts, kept[:scatter_cap].copy()
 
     def combine(a, b):
         counts = a[0] + b[0]
@@ -235,7 +258,8 @@ def double_max_ladder(
         return counts, scatter
 
     counts, scatter = mc_collect(
-        task, _draws(samples, 4), seed, combine=combine, workers=workers
+        task, _draws(samples, 4), seed, combine=combine, workers=workers,
+        chunk_size=_CHUNK,
     )
     out = []
     for i, e in enumerate(epss):

@@ -299,6 +299,27 @@ def top_two_gap(values: np.ndarray) -> np.ndarray:
     return top - runner_up
 
 
+def bottom_two_gap(values: np.ndarray) -> np.ndarray:
+    """Gap between the second-smallest and smallest entry of each row: the
+    :func:`top_two_gap` of ``-values``, read without negating ``values``.
+
+    The mirror of :func:`top_two_gap`: the minimum is read at the first
+    argmin (the argmax of ``-values``), that entry is set to +inf in place
+    and written back, so ``values`` must be writable, no other thread may
+    read it during the call, and it is restored bit for bit.  The result is
+    bitwise ``top_two_gap(-values)``, since (-a) - (-b) rounds exactly like
+    b - a.
+    """
+    values = np.atleast_2d(values)
+    rows = np.arange(values.shape[0])
+    arg = values.argmin(axis=1)
+    bottom = values[rows, arg]
+    values[rows, arg] = np.inf
+    runner_up = values.min(axis=1)
+    values[rows, arg] = bottom
+    return runner_up - bottom
+
+
 def segment_split_stats(
     values: np.ndarray, t_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

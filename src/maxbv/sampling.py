@@ -37,7 +37,10 @@ N_SUBSTREAMS = 64
 #: Default samples per task invocation; bounds peak memory for path batches.
 #: A chunk is the one path-sized array an estimator holds: the Wiener
 #: increments are formed in row blocks, and the split kernel's bandwidth
-#: pilot is drawn in row blocks, each far smaller than a chunk.
+#: pilot is drawn in row blocks, each far smaller than a chunk.  The census
+#: estimators of :mod:`maxbv.concentration` pass a quarter of it, since their
+#: integer counts do not depend on the chunk size; narrow statistics keep
+#: this size, because the per-chunk driver cost dominates them.
 DEFAULT_CHUNK = 1024
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -196,8 +199,10 @@ def mc_collect(
 
     Each substream j gets its own generator derived from
     (master_seed, stream_index, j) and is consumed in deterministic chunk
-    order; stream results are folded in ascending j.  Worker threads only
-    change who executes a stream, never its content or the reduction order.
+    order; stream results are folded in ascending j, each as soon as it and
+    all before it are done, so only results not yet folded are held.
+    Worker threads only change who executes a stream, never its content or
+    the reduction order.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -205,31 +210,22 @@ def mc_collect(
         raise ValueError("workers must be positive")
     counts = stream_counts(samples)
 
-    def run_stream(j: int) -> T | None:
-        cnt = int(counts[j])
-        if cnt == 0:
-            return None
-        rng = seed.generator(j)
+    def fold(parts) -> T:
         acc: T | None = None
-        for c in chunk_sizes(cnt, chunk_size):
-            part = task(rng, c)
+        for part in parts:
             acc = part if acc is None else combine(acc, part)
+        assert acc is not None
         return acc
+
+    def run_stream(j: int) -> T:
+        rng = seed.generator(j)
+        return fold(task(rng, c) for c in chunk_sizes(int(counts[j]), chunk_size))
 
     indices = [j for j in range(N_SUBSTREAMS) if counts[j] > 0]
     if workers == 1 or len(indices) == 1:
-        results = [run_stream(j) for j in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_stream, indices))
-
-    acc: T | None = None
-    for part in results:
-        if part is None:
-            continue
-        acc = part if acc is None else combine(acc, part)
-    assert acc is not None
-    return acc
+        return fold(map(run_stream, indices))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return fold(pool.map(run_stream, indices))
 
 
 def moment_estimate(count, s1, s2) -> MCEstimate:
@@ -370,6 +366,7 @@ def mc_ratios(
     seed: SeedSpec,
     *,
     workers: int = 1,
+    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[MCEstimate]:
     """Monte Carlo fractions sum h / sum c of per-draw path counts, one
     :func:`ratio_estimate` per column of h, on shared draws.
@@ -377,13 +374,16 @@ def mc_ratios(
     ``counts(rng, count)`` must be a pure function returning integer or
     boolean arrays (c, h) for ``count`` draws: h is (count, m), and c
     broadcasts to its shape (a constant, one column, or one column per
-    estimate).  The sums
-    are folded as exact integers, so every estimate is bit-identical for
-    any worker count.
+    estimate).  The sums are folded as exact integers, so every estimate is
+    bit-identical for any worker count.  ``chunk_size`` caps the draws of
+    one ``counts`` call; when ``counts`` draws its paths in one sampler
+    call, such as :func:`brownian_values_batch`, whose draws concatenate,
+    the estimates do not depend on it either.
     """
 
     def task(rng: np.random.Generator, count: int) -> np.ndarray:
         return ratio_sums(*counts(rng, count))
 
-    sums = mc_collect(task, samples, seed, combine=np.add, workers=workers)
+    sums = mc_collect(task, samples, seed, combine=np.add, workers=workers,
+                      chunk_size=chunk_size)
     return [ratio_estimate(col) for col in sums.T]

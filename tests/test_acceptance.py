@@ -21,7 +21,7 @@ CRITERIA = {c.number: c for c in acceptance_criteria()}
 WORKERS = os.cpu_count() or 1
 
 
-def run_criterion(number: int, capsys=None) -> None:
+def run_criterion(number: int) -> None:
     criterion = CRITERIA[number]
     start = time.perf_counter()
     failures = []

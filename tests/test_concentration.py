@@ -13,7 +13,7 @@ from maxbv.concentration import (
 )
 from maxbv.errors import InsufficientSamplesError
 from maxbv.experiments import OPERATIONS
-from maxbv.paths import TimeGrid
+from maxbv.paths import TimeGrid, bottom_two_gap, top_two_gap
 from maxbv.sampling import DEFAULT_CHUNK, SeedSpec, stream_counts, walk_sums_batch
 
 GRID = TimeGrid(500, 1.0)
@@ -163,13 +163,14 @@ class TestLadderOrder:
 
 SMALL = TimeGrid(100, 1.0)
 T = SMALL.n // 2
-# 70_001 draws: 1,094 or 1,093 per stream, so every stream runs two chunks
+# 70_001 draws: 1,094 or 1,093 per stream, so every stream crosses a chunk
+# boundary both here (DEFAULT_CHUNK) and in the estimators (256-row blocks)
 DRAWS = 70_001
 
 
 def stream_draws(draws=DRAWS, grid=SMALL, seed=SEED):
-    """The Brownian chunks of mc_collect's stream plan for ``draws`` draws,
-    in fold order."""
+    """The Brownian chunks of mc_collect's stream plan for ``draws`` draws at
+    the driver's default chunk size, in fold order."""
     for j, count in enumerate(stream_counts(draws)):
         rng = seed.generator(j)
         while count > 0:
@@ -197,11 +198,12 @@ def per_draw_reference(view, views, draws=DRAWS):
 
 
 def split_reference(w, t=T):
-    """Segment excesses and first argmaxima around t by plain numpy slices."""
-    left, right = w[:, : t + 1], w[:, t:]
-    arg_l, arg_r = left.argmax(axis=1), t + right.argmax(axis=1)
+    """Segment excesses and first argmaxima around t by plain numpy slices,
+    each maximum read at its first argmax (which fixes the sign of a 0)."""
+    rows = np.arange(len(w))
+    arg_l, arg_r = w[:, : t + 1].argmax(axis=1), t + w[:, t:].argmax(axis=1)
     w_t = w[:, t]
-    return left.max(axis=1) - w_t, arg_l, right.max(axis=1) - w_t, arg_r
+    return w[rows, arg_l] - w_t, arg_l, w[rows, arg_r] - w_t, arg_r
 
 
 def delta_method_se(c, h):
@@ -279,31 +281,69 @@ class TestReflection:
         assert unseparated.sum() == 0
 
     def test_scatter_in_view_order(self):
-        eps, delta, cap = 0.4, 0.05, 64
+        # the first cap conditioned pairs in stream order, then draw order,
+        # then view order W, -W, W~, -W~
+        eps, delta, cap = 0.1, 0.05, 512
         kept = []
-        for w in stream_draws(1_000):
-            pairs = []
-            for v in segment_views(w):
-                a, _, b, _ = split_reference(v)
-                pairs.append(np.column_stack((a, b))[np.abs(b - a) < eps])
-            kept.append(np.vstack(pairs)[: max(8, cap // 32)])
+        for w in stream_draws(20_000):
+            pairs = [split_reference(v) for v in segment_views(w)]
+            a = np.column_stack([p[0] for p in pairs])
+            b = np.column_stack([p[2] for p in pairs])
+            kept.append(np.stack((a, b), axis=-1)[np.abs(b - a) < eps])
         ref = np.vstack(kept)[:cap]
-        (s,) = double_max_ladder(T, [eps], delta, SMALL, 4_000, SEED, scatter_cap=cap)
+        (s,) = double_max_ladder(T, [eps], delta, SMALL, 80_000, SEED, scatter_cap=cap)
         assert s.scatter.shape == ref.shape == (cap, 2)
+        assert len(kept[0]) < cap  # the reservoir spans streams
         np.testing.assert_allclose(s.scatter, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [3, 64])
+    def test_scatter_independent_of_chunk_size(self, monkeypatch, chunk):
+        # 10,000 draws: 156 or 157 per stream, one 256-row block each
+        args = (T, [0.1, 0.4], 0.05, SMALL, 40_000, SEED)
+        a = double_max_ladder(*args, workers=2)
+        monkeypatch.setattr(concentration, "_CHUNK", chunk)
+        b = double_max_ladder(*args, workers=2)
+        for x, y in zip(a, b):
+            assert (x.conditioned, x.both_fraction, x.std_error, x.argmax_separated) == (
+                y.conditioned, y.both_fraction, y.std_error, y.argmax_separated)
+            assert x.scatter.tobytes() == y.scatter.tobytes()
 
     @pytest.mark.parametrize("samples, paths", [(1_000, 1_000), (100_001, 100_004)])
     def test_unconditioned_row_counts_four_views_per_draw(self, samples, paths):
         (s,) = double_max_ladder(T, [1e9], 0.05, SMALL, samples, SEED)
         assert s.conditioned == paths
 
-    def test_values_negated_in_place(self):
-        values = np.arange(6.0).reshape(2, 3)
-        buffer = values
-        per_draw = concentration._both_signs(values, lambda v: v[:, :1] > 0)
-        assert values is buffer and np.array_equal(values, -np.arange(6.0).reshape(2, 3))
-        assert per_draw.dtype == np.int64
-        assert per_draw.tolist() == [[0], [1]]  # 0 and -0, then 3 and -3
+    def test_views_leave_values_unchanged(self):
+        # the -W views are read from W: the segment views only read the
+        # path buffer, and the two gaps put back every entry they touch
+        values = next(stream_draws(300))
+        values[:2, T] = values[:2, 0] = -0.0
+        before = values.tobytes()
+        values.flags.writeable = False
+        concentration._segment_views(values, T)
+        assert values.tobytes() == before
+        values.flags.writeable = True
+        top_two_gap(values)
+        bottom_two_gap(values)
+        assert values.tobytes() == before
+
+    @pytest.mark.parametrize("t", [1, T, SMALL.n - 1])
+    def test_segment_views_match_explicit_negation(self, t):
+        # W and -W views against split_reference of the arrays w and -w;
+        # W~ and -W~ take one segment of each
+        w = next(stream_draws(300))
+        w[:3] = np.round(w[:3], 1)  # rows with tied maxima and minima
+        w[3, t] = -0.0
+        left, right, arg_l, arg_r = concentration._segment_views(w, t)
+        a, al, b, ar = split_reference(w, t)
+        an, aln, bn, arn = split_reference(-w, t)
+        expected = (
+            np.stack((a, an, a, an)), np.stack((b, bn, bn, b)),
+            np.stack((al, aln, al, aln)), np.stack((ar, arn, arn, ar)),
+        )
+        for got, want in zip((left, right, arg_l, arg_r), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_segment_views_of_one_path(self):
         w = np.array([[0.0, 3.0, 1.0, -2.0, 2.0]])

@@ -20,6 +20,7 @@ from maxbv.paths import (
     running_max_tables,
     segment_split_stats,
     split_tables,
+    bottom_two_gap,
     top_two_gap,
     wiener_integral_batch,
 )
@@ -190,7 +191,7 @@ class TestTopTwoGapInPlace:
 
     @pytest.mark.parametrize("values", [
         np.array([[0.0, 2.0, 2.0, 1.0], [0.0, 3.0, 3.0, 3.0], [0.0, -1.0, -1.0, -2.0]]),
-        # the negated W_0 of concentration._both_signs
+        # a negated path, whose W_0 is -0.0
         -np.array([[0.0, 0.5, -0.25], [0.0, -1.5, -1.5]]),
         np.array([[-0.0, -0.0, -1.0], [-0.0, 0.0, -0.0]]),
         np.array([[0.0], [-0.0], [2.5]]),
@@ -212,6 +213,32 @@ class TestTopTwoGapInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * values.nbytes  # a copy would be 1.0
+
+
+class TestBottomTwoGap:
+    """bottom_two_gap is the top_two_gap of -values, bit for bit, read
+    without negating values: +inf at each row's first argmin, then the same
+    float put back."""
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0.0, 2.0, 2.0, 1.0], [0.0, -3.0, -3.0, -3.0], [0.0, 1.0, 1.0, 2.0]]),
+        np.array([[0.0, 0.5, -0.25, -0.0], [-0.0, 1.5, 0.0, 1.5]]),
+        np.array([[-0.0, -0.0, 1.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]]),
+        np.array([[0.0], [-0.0], [2.5]]),
+        np.round(np.random.default_rng(4).standard_normal((64, 9)), 1),
+        brownian_values_batch(SeedSpec(5).generator(), 256, TimeGrid(1000, 1.0)),
+    ], ids=["tie-rows", "minus-zero-entry", "signed-zero-ties", "one-column",
+            "rounded-normals", "brownian-chunk"])
+    def test_equals_top_two_gap_of_negation(self, values):
+        before = values.tobytes()
+        expected = top_two_gap(-values)
+        assert bottom_two_gap(values).tobytes() == expected.tobytes()
+        assert values.tobytes() == before
+
+    def test_matches_partition(self):
+        values = np.round(np.random.default_rng(6).standard_normal((200, 6)), 1)
+        low2 = np.partition(values, 1, axis=1)[:, :2]
+        assert np.array_equal(bottom_two_gap(values), low2[:, 1] - low2[:, 0])
 
 
 def chunk_integrals(rows=None):
