@@ -10,6 +10,15 @@ driver.
 
 __version__ = "0.1.0"
 
+import os
+
+# Before the first numpy import, which starts OpenBLAS's threads: the matrix
+# products here are narrow or formed in 64-row blocks, too small to gain from
+# BLAS threads, and the Monte Carlo worker pool is the only parallelism, so
+# idle OpenBLAS threads would only spin beside it.  A value already in the
+# environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConfigError,
     GridMismatchError,

@@ -1,6 +1,7 @@
 """Reflection-principle densities, the split-point density at zero, the
 discrete total-variation bound for the second-derivative measure of the
-running maximum, and its limiting singular integral.
+running maximum, the exact moments of the walk maximum, and the bound's
+limiting singular integral.
 """
 
 from __future__ import annotations
@@ -205,6 +206,28 @@ def tv_bound_discrete(n: int, horizon: float = 1.0) -> TVBoundRow:
         total=float(scale * total),
         boundary=float(scale * boundary),
     )
+
+
+def walk_max_moments(n: int, horizon: float) -> tuple[float, float]:
+    """Mean and variance of max(W_0, ..., W_n) for the walk W_0 = 0 of n
+    Gaussian steps of variance D = horizon/n, in O(n) by Spitzer's identity
+    (Spitzer 1956).
+
+    With a_k = E[W_k^+]/k = sqrt(D/(2 pi k)), the identity gives
+    E M = sum_{k<=n} a_k, which is the total of :func:`tv_bound_discrete`,
+    and E M^2 = n D/2 + sum_{j+k<=n} a_j a_k, where n D/2 sums
+    E[(W_k^+)^2]/k = D/2.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    a = np.sqrt(horizon / n / (2.0 * math.pi * np.arange(1, n + 1)))
+    cum = np.cumsum(a)
+    mean = float(cum[-1])
+    # sum_{j+k<=n} a_j a_k = sum_{j<n} a_j * cum_{n-j}
+    second = 0.5 * horizon + float(np.dot(a[:-1], cum[-2::-1]))
+    return mean, second - mean * mean
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cylindrical import CylindricalFunction
+from .density import walk_max_moments
 from .paths import (
-    _ROW_BLOCK,
     Direction,
     TimeGrid,
     direction_catalog,
     direction_inner,
     same_density,
-    segment_split_stats,
     split_tables,
     top_two_gap,
     wiener_integral_batch,
@@ -41,7 +40,6 @@ from .sampling import (
     MCEstimate,
     SeedSpec,
     brownian_values_batch,
-    chunk_sizes,
     mc_ratios,
     mc_run_many,
     require_counted,
@@ -73,7 +71,8 @@ class FDConfig:
 class KernelConfig:
     """Triangular-kernel conditioning of the split gap at 0.
 
-    ``bandwidth=None`` selects the pilot bandwidth of :class:`SplitKernel`.
+    ``bandwidth=None`` selects the bandwidth of :class:`SplitKernel` from
+    the exact variance of the split gap.
     """
 
     bandwidth: float | None = None
@@ -351,10 +350,6 @@ class ChainMaxEstimate:
         return abs(self.estimate.mean - self.estimate_half.mean)
 
 
-_PILOT_COUNT = 4096
-_PILOT_BRANCH = 10_000  # pilot stream id, disjoint from mc substreams
-
-
 def split_nodes(n: int, nodes: int) -> np.ndarray:
     """The split nodes of the integrated route: the interior grid indices
     nearest the midpoints of ``nodes`` equal cells of [0, n], which must be
@@ -378,12 +373,11 @@ class SplitKernel:
     given a zero gap, integrated against the node weights.  It is reported
     at b and at b/2, and with the in-window count |gap| <= b of the
     least-covered node.  ``bandwidth`` is ``kcfg.bandwidth`` or, when that
-    is unset, samples^(-1/5) times the std of the gap at the middle node,
-    estimated from a deterministic pilot stream.  The pilot is drawn from
-    that one stream in 64-row pieces (``paths._ROW_BLOCK``), keeping only
-    each piece's gaps; ``standard_normal`` fills rows in order, so the
-    pieces hold the numbers of a one-shot draw, and the pilot's paths are
-    a small fraction of one driver chunk.
+    is unset, samples^(-1/5) times the std of the gap at the middle node
+    t.  That std is exact: the gap is M' - M'', the maxima of the
+    independent (n - t)-step walk after t and t-step walk before it (read
+    backwards from t), so its variance is the sum of the two
+    :func:`maxbv.density.walk_max_moments` variances.
     """
 
     kcfg: KernelConfig
@@ -392,18 +386,13 @@ class SplitKernel:
     bandwidth: float
 
     @classmethod
-    def build(cls, grid, t_idx, node_weight, kcfg, samples, seed) -> SplitKernel:
+    def build(cls, grid, t_idx, node_weight, kcfg, samples) -> SplitKernel:
         b = kcfg.bandwidth
         if b is None:
-            # a generator, so each piece's paths are freed before the next is drawn
-            rng = seed.generator(_PILOT_BRANCH)
             t = int(t_idx[len(t_idx) // 2])
-            stats = (
-                segment_split_stats(brownian_values_batch(rng, c, grid), t)
-                for c in chunk_sizes(_PILOT_COUNT, _ROW_BLOCK)
-            )
-            gaps = np.concatenate([max_r - max_l for max_l, _, max_r, _ in stats])
-            b = samples ** (-0.2) * float(np.std(gaps))
+            right = walk_max_moments(grid.n - t, (grid.n - t) * grid.step)[1]
+            left = walk_max_moments(t, t * grid.step)[1]
+            b = samples ** (-0.2) * math.sqrt(right + left)
         return cls(kcfg, np.asarray(t_idx), np.asarray(node_weight, dtype=float), b)
 
     def rows(
@@ -461,7 +450,7 @@ def chain_vs_weak_paired(
     """
     t_idx = split_nodes(grid.n, nodes)
     kernel = SplitKernel.build(
-        grid, t_idx, h.density[t_idx] * (grid.horizon / nodes), kcfg, samples, seed
+        grid, t_idx, h.density[t_idx] * (grid.horizon / nodes), kcfg, samples
     )
     kp = k.primitive
 
@@ -491,7 +480,7 @@ def split_gap_density_mc(
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
-    kernel = SplitKernel.build(grid, [t_index], [1.0], kcfg, samples, seed)
+    kernel = SplitKernel.build(grid, [t_index], [1.0], kcfg, samples)
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
         return kernel.rows(brownian_values_batch(rng, count, grid))

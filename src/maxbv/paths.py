@@ -117,13 +117,13 @@ def direction_catalog(grid: TimeGrid) -> list[Direction]:
     ]
 
 
-#: Rows per block of the row-blocked kernels (:func:`wiener_integral_batch`,
-#: the cumsum of :func:`maxbv.sampling.walk_sums_batch`, the split kernel's
-#: pilot).  64 rows because a block of n = 1000 increments (0.5 MB) stays in
-#: L2; because blocks of a multiple of 8 rows gave the bits of one
-#: single-thread OpenBLAS gemv over the whole array (blocks of 1, 3 or 7 rows
-#: did not); and because a gemv this size stays on the calling thread, so a
-#: Monte Carlo worker does not start OpenBLAS threads on top of the pool.
+#: Rows per block of the row-blocked kernels (:func:`wiener_integral_batch`
+#: and the cumsum of :func:`maxbv.sampling.walk_sums_batch`).  64 rows
+#: because a block of n = 1000 increments (0.5 MB) stays in L2; because
+#: blocks of a multiple of 8 rows gave the bits of one single-thread OpenBLAS
+#: gemv over the whole array (blocks of 1, 3 or 7 rows did not); and because
+#: a gemv this size stays on the calling thread, so a Monte Carlo worker does
+#: not start OpenBLAS threads on top of the pool.
 _ROW_BLOCK = 64
 
 

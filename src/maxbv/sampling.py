@@ -13,9 +13,12 @@ over a fixed number of substreams and reduce in ascending stream order, so
 results are bit-identical for any worker count.  The Wiener integrals inside
 a statistic are formed in row blocks that stay on the calling thread (see
 :func:`maxbv.paths.wiener_integral_batch`), so their bits do not depend on
-the OpenBLAS thread count either.  The normal generator is pinned per build
-(numpy PCG64 via ``default_rng``) and recorded in run manifests; statistical
-acceptance bands absorb cross-platform generator differences.
+the OpenBLAS thread count either.  Importing :mod:`maxbv` before numpy sets
+``OPENBLAS_NUM_THREADS=1`` unless the environment already sets it: the
+worker pool of :func:`mc_collect` is the only parallelism, and idle OpenBLAS
+threads would only spin beside it.  The normal generator is pinned per
+build (numpy PCG64 via ``default_rng``) and recorded in run manifests;
+statistical acceptance bands absorb cross-platform generator differences.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ N_SUBSTREAMS = 64
 
 #: Default samples per task invocation; bounds peak memory for path batches.
 #: A chunk is the one path-sized array an estimator holds: the Wiener
-#: increments are formed in row blocks, and the split kernel's bandwidth
-#: pilot is drawn in row blocks, each far smaller than a chunk.  The census
+#: increments are formed in row blocks far smaller than a chunk.  The census
 #: estimators of :mod:`maxbv.concentration` pass a quarter of it, since their
 #: integer counts do not depend on the chunk size; narrow statistics keep
 #: this size, because the per-chunk driver cost dominates them.
@@ -177,7 +179,7 @@ def stream_counts(samples: int) -> np.ndarray:
     return counts
 
 
-def chunk_sizes(count: int, chunk_size: int):
+def _chunk_sizes(count: int, chunk_size: int):
     """The row counts, in draw order, of ``count`` rows drawn ``chunk_size``
     at a time."""
     while count > 0:
@@ -219,7 +221,7 @@ def mc_collect(
 
     def run_stream(j: int) -> T:
         rng = seed.generator(j)
-        return fold(task(rng, c) for c in chunk_sizes(int(counts[j]), chunk_size))
+        return fold(task(rng, c) for c in _chunk_sizes(int(counts[j]), chunk_size))
 
     indices = [j for j in range(N_SUBSTREAMS) if counts[j] > 0]
     if workers == 1 or len(indices) == 1:

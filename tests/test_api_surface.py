@@ -72,7 +72,7 @@ _SEAM = "test seam: tests set it to exercise a case the callers never reach"
 KNOBS = {
     "sampling.mc_run(chunk_size=)": _SEAM + " (chunk boundaries)",
     "concentration.double_max_ladder(scatter_cap=)": _SEAM + " (a full reservoir)",
-    "malliavin.KernelConfig(bandwidth=)": _SEAM + " (a fixed bandwidth, not the pilot's)",
+    "malliavin.KernelConfig(bandwidth=)": _SEAM + " (a fixed bandwidth, not the exact one)",
 }
 
 

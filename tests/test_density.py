@@ -1,5 +1,5 @@
-"""Reflection densities, the split-gap density, the discrete TV bound, and
-the limiting singular integral."""
+"""Reflection densities, the split-gap density, the discrete TV bound, the
+moments of the walk maximum, and the limiting singular integral."""
 
 import math
 
@@ -18,6 +18,7 @@ from maxbv.density import (
     segment_max_density,
     segment_max_mass,
     tv_bound_discrete,
+    walk_max_moments,
 )
 from maxbv.experiments import OPERATIONS
 from maxbv.fluctuation import halfline_prob_exact
@@ -162,6 +163,66 @@ class TestTVBound:
             return [(r.check, r.value, r.passed) for r in result.rows], result.series
 
         assert rows((100, 100, 200)) == rows((100, 200))
+
+
+def walk_maxima(m, step, samples, seed):
+    """max(W_0, ..., W_m) of ``samples`` Gaussian walks with W_0 = 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for count in [10_000] * (samples // 10_000):
+        walks = np.cumsum(rng.standard_normal((count, m)) * math.sqrt(step), axis=1)
+        out.append(np.maximum(walks.max(axis=1), 0.0))
+    return np.concatenate(out)
+
+
+class TestWalkMaxMoments:
+    @pytest.mark.parametrize("n", [3, 10, 100, 1000, 2000])
+    def test_mean_is_the_tv_bound(self, n):
+        # B(n) = E[max of the walk]: the pair sum of the bound is Spitzer's sum
+        mean, _ = walk_max_moments(n, 2.0)
+        assert mean == pytest.approx(tv_bound_discrete(n, 2.0).total, rel=1e-12)
+
+    def test_one_and_two_steps_closed_form(self):
+        d = 0.3
+        _, var1 = walk_max_moments(1, d)
+        assert var1 == pytest.approx(d * (0.5 - 1.0 / (2.0 * math.pi)), rel=1e-14)
+        # E M^2 = D + D/(2 pi) and E M = sqrt(D/(2 pi)) (1 + 1/sqrt 2) at m = 2
+        _, var2 = walk_max_moments(2, 2.0 * d)
+        c = d / (2.0 * math.pi)
+        assert var2 == pytest.approx(d + c - c * (1.0 + 1.0 / math.sqrt(2.0)) ** 2,
+                                     rel=1e-14)
+
+    @pytest.mark.parametrize("m", [5, 20, 100])
+    def test_variance_against_sampled_maxima(self, m):
+        step = 0.01
+        x = walk_maxima(m, step, 200_000, 8800 + m)
+        mean, var = walk_max_moments(m, m * step)
+        centred = x - x.mean()
+        s2 = float(np.mean(centred**2))
+        se = math.sqrt((float(np.mean(centred**4)) - s2 * s2) / len(x))
+        assert abs(x.var(ddof=1) - var) <= 3.0 * se
+        assert abs(x.mean() - mean) <= 3.0 * x.std() / math.sqrt(len(x))
+
+    def test_split_gap_std_tends_to_the_continuum(self):
+        # the gap at the middle node is the difference of two independent
+        # maxima of n/2-step walks; in the continuum each has variance
+        # (T/2)(1 - 2/pi)
+        def gap_std(n):
+            half = walk_max_moments(n // 2, 0.5)[1]
+            return math.sqrt(2.0 * half)
+
+        limit = math.sqrt(1.0 - 2.0 / math.pi)
+        assert gap_std(2000) == pytest.approx(0.602755, abs=5e-7)
+        errors = [limit - gap_std(n) for n in (250, 500, 1000, 2000)]
+        assert all(e > 0 for e in errors)
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 1e-4
+
+    def test_rejects_empty_walk_and_horizon(self):
+        with pytest.raises(ValueError):
+            walk_max_moments(0, 1.0)
+        with pytest.raises(ValueError):
+            walk_max_moments(5, 0.0)
 
 
 class TestLimitIntegral:

@@ -28,7 +28,7 @@ from maxbv.malliavin import (
     two_peak_path,
     verify_grad_max,
 )
-from maxbv.density import lt_zero_closed
+from maxbv.density import lt_zero_closed, walk_max_moments
 from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import (
     Direction,
@@ -555,25 +555,33 @@ class TestSplitGapDensity:
         assert abs(kde.estimate_half.mean - ref) / ref <= 0.05
 
 
-class TestPilotBandwidth:
+class TestExactBandwidth:
     @pytest.mark.parametrize("n", [400, 1000])
     @pytest.mark.parametrize("nodes", [1, 24])
-    def test_equals_the_one_shot_pilot(self, n, nodes):
-        # the 4096-path pilot drawn in one batch from its stream, the split
-        # gap at the middle node, and samples^(-1/5) times its std
+    def test_within_3se_of_the_one_shot_pilot(self, n, nodes):
+        # the bandwidth is samples^(-1/5) times the exact std of the split
+        # gap at the middle node, bit for bit
         grid = TimeGrid(n, 1.0)
         t_idx = split_nodes(n, nodes)
+        t = int(t_idx[len(t_idx) // 2])
         samples = 50_000
+        right = walk_max_moments(n - t, (n - t) * grid.step)[1]
+        left = walk_max_moments(t, t * grid.step)[1]
+        std = math.sqrt(right + left)
+        kernel = SplitKernel.build(grid, t_idx, np.ones(nodes), KernelConfig(), samples)
+        assert kernel.bandwidth == samples**-0.2 * std
+        # the former pilot: 4096 paths drawn in one batch from stream branch
+        # 10_000, and the std of their gap at the middle node
         pilot = brownian_values_batch(SEED.generator(10_000), 4096, grid)
         fwd_max, _, bwd_max, _ = running_max_tables(pilot)
-        t = t_idx[len(t_idx) // 2]
-        expected = samples**-0.2 * float(np.std(bwd_max[:, t] - fwd_max[:, t]))
-        kernel = SplitKernel.build(grid, t_idx, np.ones(nodes), KernelConfig(), samples,
-                                   SEED)
-        assert kernel.bandwidth == expected
+        gaps = bwd_max[:, t] - fwd_max[:, t]
+        centred = gaps - gaps.mean()
+        s2 = float(np.mean(centred**2))
+        se = math.sqrt((float(np.mean(centred**4)) - s2 * s2) / len(gaps)) / (2.0 * std)
+        assert abs(float(np.std(gaps)) - std) <= 3.0 * se
 
 
-#: Both the pilot and the driver chunks scale with n, so a small n measures
+#: The driver chunks and the row blocks scale with n, so a small n measures
 #: their ratio.
 BUDGET_GRID = TimeGrid(100, 1.0)
 
@@ -617,8 +625,7 @@ def _budget_peak(name, streams_of_chunks=1):
 
 
 class TestMemoryBudget:
-    """No estimator holds more than three driver chunks of paths, the
-    bandwidth pilot included."""
+    """No estimator holds more than three driver chunks of paths."""
 
     @pytest.mark.parametrize("name", list(_budget_calls(BUDGET_GRID)))
     def test_peak_within_three_chunk_buffers(self, name):
@@ -626,9 +633,9 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("name", ["chain_vs_weak_paired", "adjoint2_means"])
     def test_chain_route_holds_one_path_buffer(self, name):
-        # the Wiener increments and the pilot come in row blocks, so the
-        # chunk's paths are the one path-sized array: measured 1.43 and
-        # 1.31 (2.19 and 2.17 with whole-chunk increments)
+        # the Wiener increments come in row blocks, so the chunk's paths
+        # are the one path-sized array: measured 1.43 and 1.31 (2.19 and
+        # 2.17 with whole-chunk increments)
         assert _budget_peak(name) <= 1.5
 
 

@@ -254,26 +254,51 @@ def chunk_integrals(rows=None):
     return b"".join(np.concatenate(column).tobytes() for column in zip(*parts))
 
 
+def run_child(script, **environ):
+    """The stdout of ``script`` run by a fresh interpreter that finds maxbv
+    and this file; ``environ`` sets variables, and None removes one."""
+    env = dict(os.environ)
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    paths = [str(Path(maxbv.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasThreads:
+    SCRIPT = "import os, maxbv\nprint(os.environ['OPENBLAS_NUM_THREADS'], end='')\n"
+
+    def test_import_defaults_to_one_thread(self):
+        assert run_child(self.SCRIPT, OPENBLAS_NUM_THREADS=None) == b"1"
+
+    def test_a_value_in_the_environment_wins(self):
+        assert run_child(self.SCRIPT, OPENBLAS_NUM_THREADS="2") == b"2"
+
+
 class TestWienerIntegralBatch:
     def test_bits_independent_of_blas_threads_and_row_split(self):
         # one gemv over the whole chunk differed from single-thread OpenBLAS
-        # in the last ulp of a few rows at this size (n = 1000, 782 rows)
+        # in the last ulp of a few rows at this size (n = 1000, 782 rows).
+        # Each side is a child that sets its thread count: importing maxbv
+        # before numpy makes one thread the default, so this process may
+        # have only one.
         script = (
             "import sys\n"
-            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from test_paths import chunk_integrals\n"
             "sys.stdout.buffer.write(chunk_integrals())\n"
         )
-        src = str(Path(maxbv.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        together = chunk_integrals()
-        assert together == proc.stdout
-        assert together == chunk_integrals(rows=64)
+        threaded = run_child(script, OPENBLAS_NUM_THREADS="2")
+        single = run_child(script, OPENBLAS_NUM_THREADS="1")
+        assert threaded == single
+        assert single == chunk_integrals()
+        assert single == chunk_integrals(rows=64)
 
     def test_tuple_form_is_bitwise_the_single_calls(self):
         grid = TimeGrid(200, 1.0)
