@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
-import filecmp
 import json
 import os
 import sys
@@ -140,6 +139,16 @@ def _resolve_out(cli_out: str | None, config_out: str | None) -> Path:
 # Output
 # ---------------------------------------------------------------------------
 
+#: A manifest row: the result-CSV columns less the experiment's own id and
+#: fingerprint, which the manifest records once per experiment.
+_MANIFEST_ROW = tuple(k for k in ResultRow.HEADER if k not in ("experiment", "fingerprint"))
+
+#: The report columns: the result-CSV columns with the number of merged
+#: runs after the pooled sample count.
+_RUNS_AT = ResultRow.HEADER.index("samples") + 1
+_REPORT_HEADER = ResultRow.HEADER[:_RUNS_AT] + ("runs",) + ResultRow.HEADER[_RUNS_AT:]
+
+
 def _write_outputs(
     out_dir: Path,
     results: dict[str, ExperimentResult],
@@ -163,16 +172,8 @@ def _write_outputs(
                 "params": {k: _jsonable(v) for k, v in spec.params.items()},
                 "fingerprint": result.rows[0].fingerprint if result.rows else "",
                 "rows": [
-                    {
-                        "check": r.check,
-                        "value": _jsonable(r.value),
-                        "std_error": r.std_error,
-                        "reference": _jsonable(r.reference),
-                        "tolerance": r.tolerance,
-                        "passed": r.passed,
-                        "samples": r.samples,
-                        "seed": r.seed,
-                    }
+                    {k: _jsonable(v) for k, v in zip(ResultRow.HEADER, r.cells())
+                     if k in _MANIFEST_ROW}
                     for r in result.rows
                 ],
                 "series": {
@@ -251,61 +252,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     workers = _run_option("workers", _override(args.workers, 1))
     out_dir = _resolve_out(args.out, None)
     if args.preset == "quick":
-        groups = [(None, quick_preset())]
+        groups = [(None, "", quick_preset())]
     else:
-        groups = [(c, c.experiments) for c in acceptance_criteria()]
+        groups = [(c.number, c.title, c.experiments) for c in acceptance_criteria()]
     specs: list[ExperimentSpec] = []
     results: dict[str, ExperimentResult] = {}
-    for criterion, group in groups:
+    for number, title, group in groups:
         done = run_suite(group, master_seed, workers)
         specs += group
-        if criterion is not None:
-            if criterion.number == 14:
-                done["csv-reproducibility"] = reproducibility_check(
-                    master_seed, workers, out_dir
-                )
-                specs.append(ExperimentSpec(
-                    "csv-reproducibility", "sampling.worker_invariance", {}, 9999
-                ))
+        if number is not None:
             passed = all(r.passed for r in done.values())
-            print(f"criterion {criterion.number:>2}: "
-                  f"{'PASS' if passed else 'FAIL'}  {criterion.title}")
+            print(f"criterion {number:>2}: {'PASS' if passed else 'FAIL'}  {title}")
         results.update(done)
     ok = _write_outputs(out_dir, results, specs, master_seed, workers)
     if args.preset == "quick":
         _print_rows(results)
     print(f"verify {args.preset}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def reproducibility_check(
-    master_seed: int, workers: int, out_dir: Path
-) -> ExperimentResult:
-    """Run the quick preset twice into sibling directories and byte-compare
-    every result CSV; also re-run with a different worker count."""
-    dirs = [out_dir / "repro-a", out_dir / "repro-b"]
-    worker_counts = [workers, workers, 8 if workers != 8 else 1]
-    dirs.append(out_dir / "repro-w")
-    specs = quick_preset()
-    for d, w in zip(dirs, worker_counts):
-        d.mkdir(parents=True, exist_ok=True)
-        results = run_suite(specs, master_seed, w)
-        _write_outputs(d, results, specs, master_seed, w)
-    identical = True
-    for csv_path in sorted(dirs[0].glob("*.csv")):
-        for other in dirs[1:]:
-            if not filecmp.cmp(csv_path, other / csv_path.name, shallow=False):
-                identical = False
-    return ExperimentResult([
-        ResultRow(
-            experiment="csv-reproducibility",
-            check="quick-preset-csvs-byte-identical",
-            value=identical,
-            reference=True,
-            tolerance=0.0,
-            seed=f"{master_seed}/quick",
-        )
-    ])
 
 
 def _is_number(x) -> bool:
@@ -335,20 +298,12 @@ def _merge_manifest(
         params_by_fp[fp] = exp["params"]
         for row in exp["rows"]:
             _check_numbers(row)
+            # the first run's row, with no verdict and no samples yet
             slot = merged.setdefault(
                 (fp, row["check"]),
-                {
-                    "experiment": exp["experiment"],
-                    "check": row["check"],
-                    "values": [],
-                    "ses": [],
-                    "reference": row["reference"],
-                    "tolerance": row["tolerance"],
-                    "passed": None,
-                    "samples": None,
-                    "seed": row["seed"],
-                    "fingerprint": fp,
-                },
+                {**{k: row[k] for k in _MANIFEST_ROW},
+                 "experiment": exp["experiment"], "fingerprint": fp,
+                 "passed": None, "samples": None, "values": [], "ses": []},
             )
             slot["values"].append(row["value"])
             slot["ses"].append(row["std_error"])
@@ -394,21 +349,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 )
                 return 2
             value, se = slot["values"][0], None
-        rows.append(
-            (
-                slot["experiment"], slot["check"], value, se, slot["reference"],
-                slot["tolerance"], slot["passed"], slot["samples"], runs,
-                slot["seed"], slot["fingerprint"],
-            )
-        )
-    write_csv(
-        out_dir / "report.csv",
-        (
-            "experiment", "check", "value", "std_error", "reference",
-            "tolerance", "passed", "samples", "runs", "seed", "fingerprint",
-        ),
-        rows,
-    )
+        merged_row = {**slot, "value": value, "std_error": se, "runs": runs}
+        rows.append([merged_row[k] for k in _REPORT_HEADER])
+    write_csv(out_dir / "report.csv", _REPORT_HEADER, rows)
     for name, series in series_out.items():
         write_csv(out_dir / f"{name}.csv", series["header"], series["rows"])
     print(f"wrote {out_dir}/report.csv and {len(series_out)} series files")

@@ -8,6 +8,7 @@ differentiation.  All evaluation methods broadcast over a leading batch axis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,55 +23,35 @@ class PolynomialOuter:
 
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[:-1])
+    def _derivatives(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Every partial derivative of the given order, indexed by the
+        variables it differentiates in: a monomial differentiated in those
+        variables is its coefficient times the falling factorials of its
+        exponents, times each x_l to its lowered exponent."""
+        out = np.zeros(x.shape[:-1] + (x.shape[-1],) * order)
         for coef, exps in self.terms:
-            term = np.full(x.shape[:-1], coef)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * x[..., j] ** e
-            out += term
-        return out
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape)
-        for coef, exps in self.terms:
-            for j, e in enumerate(exps):
-                if e == 0:
+            for wrt in itertools.product(range(len(exps)), repeat=order):
+                factor, powers = 1, list(exps)
+                for l in wrt:
+                    factor *= powers[l]
+                    powers[l] -= 1
+                if factor == 0:
                     continue
-                term = np.full(x.shape[:-1], coef * e)
-                for l, el in enumerate(exps):
-                    p = el - 1 if l == j else el
+                term = np.full(x.shape[:-1], coef * factor)
+                for l, p in enumerate(powers):
                     if p:
                         term = term * x[..., l] ** p
-                out[..., j] += term
+                out[(..., *wrt)] += term
         return out
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self._derivatives(x, 0)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self._derivatives(x, 1)
+
     def hess(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[-1]
-        out = np.zeros(x.shape + (d,))
-        for coef, exps in self.terms:
-            for j, ej in enumerate(exps):
-                for k, ek in enumerate(exps):
-                    if j == k:
-                        factor = ej * (ej - 1)
-                        if factor == 0:
-                            continue
-                    else:
-                        factor = ej * ek
-                        if factor == 0:
-                            continue
-                    term = np.full(x.shape[:-1], coef * factor)
-                    for l, el in enumerate(exps):
-                        p = el
-                        if l == j:
-                            p -= 1
-                        if l == k:
-                            p -= 1
-                        if p:
-                            term = term * x[..., l] ** p
-                    out[..., j, k] += term
-        return out
+        return self._derivatives(x, 2)
 
 
 @dataclass(frozen=True)

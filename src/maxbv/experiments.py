@@ -11,8 +11,10 @@ and the quick preset runs in under a minute with smaller sample counts.
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, replace
 from itertools import groupby
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -22,7 +24,13 @@ from . import concentration as conc
 from .cylindrical import catalog, catalog_entry, constant_one
 from .errors import ConfigError
 from .paths import Direction, TimeGrid
-from .reporting import ExperimentResult, ResultRow, stable_fingerprint
+from .reporting import (
+    ExperimentResult,
+    ResultRow,
+    stable_fingerprint,
+    write_csv,
+    write_result_csv,
+)
 from .sampling import (
     RNG_ALGORITHM,
     MCEstimate,
@@ -623,6 +631,28 @@ def _run_worker_invariance(p, seed, workers):
     ])
 
 
+def _quick_preset_csvs(master_seed: int, workers: int) -> dict[str, bytes]:
+    """The bytes of every result and series CSV of the quick preset, by
+    file name, as the CLI writes them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        for exp_id, result in run_suite(quick_preset(), master_seed, workers).items():
+            write_result_csv(out_dir / f"{exp_id}.csv", result.rows)
+            for name, (header, rows) in result.series.items():
+                write_csv(out_dir / f"{exp_id}__{name}.csv", header, rows)
+        return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def _run_csv_identity(p, seed, workers):
+    # twice at the given worker count and once at another, so a multi-worker
+    # run is always compared with a single-worker one
+    a, b, other = (
+        _quick_preset_csvs(seed.master_seed, count)
+        for count in (workers, workers, 8 if workers == 1 else 1)
+    )
+    return ExperimentResult([_holds("quick-preset-csvs-byte-identical", a == b == other)])
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -823,6 +853,7 @@ _register(
     horizon=Param(float, 1.0, positive=True),
     samples=Param(int, 100000, minimum=2),
 )
+_register("sampling.csv_identity", _run_csv_identity)
 
 
 @dataclass(frozen=True)
@@ -931,6 +962,7 @@ _PRESETS: tuple[tuple[str, str, int | None, int | None, dict, dict], ...] = (
      {}, dict(n=10, brownian_n=1000, samples=50_000)),
     ("workers", "sampling.worker_invariance", 140, 1240,
      dict(n=10, samples=100_000), dict(samples=50_000)),
+    ("csv-reproducibility", "sampling.csv_identity", 141, None, {}, {}),
 )
 
 _TITLES = {
@@ -947,7 +979,7 @@ _TITLES = {
     11: "discrete total-variation bound: bounded, converging",
     12: "limit integral equals 2*pi; Riemann sum approaches it",
     13: "concentration trends of the double-maximum witnesses",
-    14: "reproducibility: worker invariance (CSV identity via CLI)",
+    14: "reproducibility: worker invariance",
 }
 
 
@@ -963,8 +995,8 @@ def _preset(quick: bool) -> list[ExperimentSpec]:
 
 
 def acceptance_criteria() -> list[Criterion]:
-    """The full acceptance suite; criterion 14's CSV byte-identity check is
-    orchestrated by the CLI verify command on top of these."""
+    """The full acceptance suite: criterion k runs, in stream order, every
+    experiment whose acceptance stream // 10 is k."""
     return [
         Criterion(number, _TITLES[number], tuple(specs))
         for number, specs in groupby(_preset(quick=False), key=lambda s: s.stream // 10)

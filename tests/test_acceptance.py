@@ -5,8 +5,9 @@ one `maxbv verify --preset full` executes) and prints a PASS/FAIL line, so
 the suite doubles as the sign-off protocol for the build.
 
 The criteria run on every core: Monte Carlo streams are the same for any
-worker count, so only the wall time depends on it.  Criterion 14 still
-compares its CSVs against a single-worker run.
+worker count, so only the wall time depends on it.  Criterion 14's CSV
+identity row compares quick-preset runs at that worker count with a run at
+another, so a multi-worker run is always checked against a single-worker one.
 """
 
 import os
@@ -14,7 +15,6 @@ import time
 
 import pytest
 
-from maxbv.cli import reproducibility_check
 from maxbv.experiments import DEFAULT_MASTER_SEED, acceptance_criteria, run_experiment
 
 CRITERIA = {c.number: c for c in acceptance_criteria()}
@@ -39,22 +39,7 @@ def run_criterion(number: int) -> None:
     assert not failures, "\n".join(failures)
 
 
-@pytest.mark.parametrize("number", sorted(n for n in CRITERIA if n != 14))
+@pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(number):
     run_criterion(number)
 
-
-def test_criterion_14_reproducibility(tmp_path):
-    # worker invariance from the registry, CSV byte-identity via the CLI hook
-    criterion = CRITERIA[14]
-    start = time.perf_counter()
-    failures = []
-    for spec in criterion.experiments:
-        result = run_experiment(spec, DEFAULT_MASTER_SEED, workers=WORKERS)
-        failures += [r.check for r in result.rows if r.passed is False]
-    repro = reproducibility_check(DEFAULT_MASTER_SEED, 1, tmp_path)
-    failures += [r.check for r in repro.rows if r.passed is False]
-    verdict = "PASS" if not failures else "FAIL"
-    wall = time.perf_counter() - start
-    print(f"ACCEPTANCE 14 {verdict} ({wall:.1f} s)  {criterion.title}")
-    assert not failures, failures

@@ -44,7 +44,6 @@ ALLOWED = {
     "cli.cmd_run": "subcommand handler, bound by main's argument parser",
     "cli.cmd_verify": "subcommand handler, bound by main's argument parser",
     "cli.cmd_report": "subcommand handler, bound by main's argument parser",
-    "cli.reproducibility_check": "criterion 14's CSV byte-identity hook",
     "concentration.DoubleMaxSummary": _RESULT,
     "cylindrical.PolynomialOuter": "outer function of the catalog entries",
     "cylindrical.GaussianBumpOuter": "outer function of the catalog entries",

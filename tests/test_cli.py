@@ -1,10 +1,12 @@
 """Config parsing, the run/report/verify verbs, and output determinism."""
 
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import maxbv
-from maxbv import fluctuation
+from maxbv import experiments, fluctuation
 from maxbv import cli
 from maxbv.cli import load_config, main
 from maxbv.errors import ConfigError, InsufficientSamplesError
 from maxbv.experiments import (
+    _PRESETS,
     _REQUIRED,
     OPERATIONS,
     _floats,
@@ -565,6 +568,10 @@ class TestReport:
         runs_col = header.index("runs")
         data = [line.split(",") for line in text[1:]]
         assert all(row[runs_col] == "2" for row in data)
+        # the result-CSV columns, with the run count after the sample count
+        result_header = (m1.parent / "stay.csv").read_text().splitlines()[0].split(",")
+        at = result_header.index("samples") + 1
+        assert header == result_header[:at] + ["runs"] + result_header[at:]
 
     def test_missing_manifest_errors(self, tmp_path, capsys):
         code = main(["report", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
@@ -678,6 +685,10 @@ class TestPresets:
     def test_every_spec_validates(self, spec):
         validate_params(OPERATIONS[spec.operation], spec.params, spec.exp_id)
 
+    def test_quick_preset_does_not_check_its_own_csvs(self):
+        # sampling.csv_identity runs the quick preset itself
+        assert all(s.operation != "sampling.csv_identity" for s in quick_preset())
+
     def test_readme_lists_every_operation(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Registered operations", 1)[1].split("```")[1]
@@ -701,6 +712,41 @@ class TestRowSeed:
         monkeypatch.setattr(SeedSpec, "label", property(lambda s: str(s.master_seed)))
         labels, expected = self.labels_and_expected()
         assert labels != {expected}
+
+
+class TestVerifyFullManifest:
+    """``verify --preset full`` records each experiment as the registry runs
+    it and leaves nothing but its outputs behind; here with criterion 14
+    alone, at small samples, over a two-row quick preset."""
+
+    def test_rows_match_the_registry(self, tmp_path, monkeypatch):
+        criterion = next(c for c in acceptance_criteria() if c.number == 14)
+        small = replace(criterion, experiments=tuple(
+            replace(s, params={**s.params, "samples": 2000}) if "samples" in s.params else s
+            for s in criterion.experiments
+        ))
+        cheap = [s for s in quick_preset() if s.exp_id in ("andersen64", "halfline-mc")]
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "acceptance_criteria", lambda: [small])
+            monkeypatch.setattr(module, "quick_preset", lambda: list(cheap))
+        out = tmp_path / "out"
+        assert main(["verify", "--preset", "full", "--out", str(out), "--workers", "2"]) == 0
+
+        table = {exp_id: (operation, stream) for exp_id, operation, stream, *_ in _PRESETS}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["experiment"] for e in manifest["experiments"]] == [
+            "workers", "csv-reproducibility"]
+        for exp in manifest["experiments"]:
+            operation, stream = table[exp["experiment"]]
+            assert exp["operation"] == operation
+            validate_params(OPERATIONS[operation], exp["params"], exp["experiment"])
+            assert exp["fingerprint"]
+            with open(out / f"{exp['experiment']}.csv", newline="") as fp:
+                rows = list(csv.DictReader(fp))
+            assert rows and all(r["fingerprint"] == exp["fingerprint"] for r in rows)
+            expected = f"{manifest['master_seed']}/{stream}"
+            assert {r["seed"] for r in exp["rows"]} == {r["seed"] for r in rows} == {expected}
+        assert not list(out.glob("repro-*"))
 
 
 class TestRepeatedListValues:
