@@ -39,6 +39,7 @@ Measured and left out (per-row SE at equal evaluated paths, n = 1000):
   isolation, +0.3-0.5 s end to end in 3 of 3 pairs);
 - chunks of 64-128 rows instead of 1024 while the -W views still negated
   the path buffer in place (2.17 -> 2.49-2.55 s in-process at workers 2);
+  reading the -W views from W (below) cut that cost to the one given there;
 - normals drawn straight into the path buffer one row per RNG call (peak
   RSS 62.6 -> 51.9 MB, but wall 2.43 -> 2.77 s in the median of 5 runs at
   workers 2).  What is kept instead is one RNG call per chunk into the
@@ -49,16 +50,26 @@ Measured and left out (per-row SE at equal evaluated paths, n = 1000):
   per-chunk driver cost dominates narrow statistics, and
   ``perimeter.offband`` (3-wide rows, workers 1) took 0.064 -> 0.123 s per
   run in-process, about +4% of a ``walks`` benchmark pass.  The other
-  users keep ``DEFAULT_CHUNK``.
+  users keep ``DEFAULT_CHUNK``;
+- 128-row chunks here: census peak RSS 42.8-43.2 MB, against 41.6-42.1 MB
+  at 64 rows;
+- the calling thread as one of the workers: -1.0 MB more, but the census
+  was slower in 6 of 6 pairs (about +17%);
+- 8-row cumsum blocks in ``walk_sums_batch``: census -0.8 MB, but
+  ``chain`` +0.5 MB in 3 of 3 runs;
+- copy-free segment extremes (the row maximum, then the first index equal
+  to it): 2.7x slower at 64 rows.
 
-What is kept: the three estimators here draw in 256-row chunks
-(``_CHUNK``) and read the -W views from W without negating it
-(:func:`maxbv.paths.bottom_two_gap`, :func:`_segment_views`): ``census``
-peak RSS 52.57 -> 45.78 MB, lower in 10 of 10 pairs, with wall 2.24 ->
-2.23 s and CPU 3.88 -> 3.79 s (medians, 2 vCPUs).  In-process at
-workers 2 (15 passes each) the census read 1.911 s, 1.932 s with 256-row
-chunks and the in-place negation kept, and 1.846 s with both, so the
-negation-free views are what keeps the smaller chunks from costing time.
+What is kept: the three estimators here draw one 64-row block per chunk
+(``_CHUNK`` = ``paths._ROW_BLOCK``) and read the -W views from W without
+negating it (:func:`maxbv.paths.bottom_two_gap`, :func:`_segment_views`).
+Each of the two ``census`` workers then holds a 0.5 MB path buffer, the
+0.5 MB cumsum temporary of its one row block and a 0.25 MB segment copy
+(2 MB, 0.5 MB and 1 MB with 256-row chunks): ``census`` peak RSS 43.55
+-> 39.90 MB, lower in 10 of 10 pairs, every result CSV byte-identical, at
+CPU 3.23 -> 3.49 s and wall 1.95 -> 2.11 s (medians, 2 vCPUs).  The cost
+comes with the threads: in-process, the three estimators took 10% less
+CPU at one worker and 6% more at two.
 """
 
 from __future__ import annotations
@@ -81,10 +92,10 @@ from .sampling import (
 )
 
 
-#: Draws per chunk of the census estimators: 2 MB of path at n = 1000, a
-#: quarter of the driver's default chunk.  Their fractions fold exact integer
-#: counts, so the chunk size moves memory and time but no estimate.
-_CHUNK = 4 * _ROW_BLOCK
+#: Draws per chunk of the census estimators: one row block, 0.5 MB of path
+#: at n = 1000.  Their fractions fold exact integer counts, so the chunk size
+#: moves memory and time but no estimate.
+_CHUNK = _ROW_BLOCK
 
 
 def _draws(samples: int, views: int) -> int:
@@ -105,29 +116,26 @@ def _segment_views(
     first right argmin of W; -W~ pairs the left segment of -W with the
     right segment of W.  So each segment [0, t] and [t, n] needs its first
     argmax and first argmin: the segment is copied once (half a chunk) and
-    both are taken from the copy, one segment at a time.  ``values`` is only
+    both are taken from the copy, one segment at a time, into one array per
+    quantity, whose rows the four views then index.  ``values`` is only
     read.  The -W views are bitwise those of a negated buffer: argmax(-x) is
     the first argmin of x, and W_t - min rounds exactly like
     (-min) + W_t.
     """
     w_t = values[:, t_index]
     rows = np.arange(len(values))
-
-    def extremes(start: int, stop: int):
+    # [segment left/right, sign W/-W]: excess and argmax of each view
+    excess = np.empty((2, 2, len(values)))
+    arg = np.empty((2, 2, len(values)), dtype=np.intp)
+    for i, (start, stop) in enumerate(((0, t_index + 1), (t_index, values.shape[1]))):
         segment = values[:, start:stop].copy()
-        arg_max, arg_min = segment.argmax(axis=1), segment.argmin(axis=1)
-        excess = segment[rows, arg_max] - w_t
-        excess_neg = w_t - segment[rows, arg_min]
-        return excess, excess_neg, start + arg_max, start + arg_min
-
-    a, a_neg, arg_l, neg_arg_l = extremes(0, t_index + 1)
-    b, b_neg, arg_r, neg_arg_r = extremes(t_index, values.shape[1])
-    return (
-        np.stack((a, a_neg, a, a_neg)),
-        np.stack((b, b_neg, b_neg, b)),
-        np.stack((arg_l, neg_arg_l, arg_l, neg_arg_l)),
-        np.stack((arg_r, neg_arg_r, neg_arg_r, arg_r)),
-    )
+        segment.argmax(axis=1, out=arg[i, 0])
+        segment.argmin(axis=1, out=arg[i, 1])
+        np.subtract(segment[rows, arg[i, 0]], w_t, out=excess[i, 0])
+        np.subtract(w_t, segment[rows, arg[i, 1]], out=excess[i, 1])
+    arg[1] += t_index
+    same, swapped = [0, 1, 0, 1], [0, 1, 1, 0]
+    return excess[0, same], excess[1, swapped], arg[0, same], arg[1, swapped]
 
 
 def unique_max_check(

@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .paths import top_two_gap
 from .sampling import (
     MCEstimate,
     SeedSpec,
@@ -200,11 +199,18 @@ def _argmax_census(sums: np.ndarray) -> tuple[np.ndarray, int]:
 
     W_n = W_0 = 0, so the row is W_0..W_{n-1} rotated by one: argmax j maps
     to position (j + 1) % n.  On a tie row the position may differ from the
-    first argmax of W_0..W_{n-1}; those rows are the counted ties.
+    first argmax of W_0..W_{n-1}; those rows are the counted ties.  The
+    argmax is taken once: each row holds its maximum at least once, so the
+    entries equal to it number the rows plus the surplus of tie rows, and
+    only a non-zero surplus pays for the exact per-row count.
     """
     n = sums.shape[1]
-    ties = int((top_two_gap(sums) == 0.0).sum())
-    return np.bincount((sums.argmax(axis=1) + 1) % n, minlength=n), ties
+    arg = sums.argmax(axis=1)
+    at_top = sums == sums[np.arange(len(sums)), arg][:, None]
+    ties = int(np.count_nonzero(at_top)) - len(sums)
+    if ties:
+        ties = int(np.count_nonzero(np.count_nonzero(at_top, axis=1) > 1))
+    return np.roll(np.bincount(arg, minlength=n), 1), ties
 
 
 def bridge_argmax_histogram(

@@ -40,9 +40,10 @@ N_SUBSTREAMS = 64
 #: Default samples per task invocation; bounds peak memory for path batches.
 #: A chunk is the one path-sized array an estimator holds: the Wiener
 #: increments are formed in row blocks far smaller than a chunk.  The census
-#: estimators of :mod:`maxbv.concentration` pass a quarter of it, since their
-#: integer counts do not depend on the chunk size; narrow statistics keep
-#: this size, because the per-chunk driver cost dominates them.
+#: estimators of :mod:`maxbv.concentration` pass one row block
+#: (``paths._ROW_BLOCK``, a sixteenth of it), since their integer counts do
+#: not depend on the chunk size; narrow statistics keep this size, because
+#: the per-chunk cost of the sampling loop dominates them.
 DEFAULT_CHUNK = 1024
 
 RNG_ALGORITHM = "numpy-default_rng-PCG64"
@@ -332,7 +333,7 @@ def ratio_sums(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     (draws, m) hit counts ``h`` against the conditioning counts ``c``, which
     broadcast to the shape of ``h``."""
     c = np.broadcast_to(c, h.shape)
-    return np.stack(
+    return np.array(
         [c.sum(axis=0), (c * c).sum(axis=0), h.sum(axis=0), (h * h).sum(axis=0),
          (h * c).sum(axis=0)]
     )

@@ -164,7 +164,7 @@ class TestLadderOrder:
 SMALL = TimeGrid(100, 1.0)
 T = SMALL.n // 2
 # 70_001 draws: 1,094 or 1,093 per stream, so every stream crosses a chunk
-# boundary both here (DEFAULT_CHUNK) and in the estimators (256-row blocks)
+# boundary both here (DEFAULT_CHUNK) and in the estimators (64-row blocks)
 DRAWS = 70_001
 
 
@@ -298,8 +298,9 @@ class TestReflection:
 
     @pytest.mark.parametrize("chunk", [3, 64])
     def test_scatter_independent_of_chunk_size(self, monkeypatch, chunk):
-        # 10,000 draws: 156 or 157 per stream, one 256-row block each
+        # 10,000 draws: 156 or 157 per stream, one DEFAULT_CHUNK each
         args = (T, [0.1, 0.4], 0.05, SMALL, 40_000, SEED)
+        monkeypatch.setattr(concentration, "_CHUNK", DEFAULT_CHUNK)
         a = double_max_ladder(*args, workers=2)
         monkeypatch.setattr(concentration, "_CHUNK", chunk)
         b = double_max_ladder(*args, workers=2)
@@ -307,6 +308,25 @@ class TestReflection:
             assert (x.conditioned, x.both_fraction, x.std_error, x.argmax_separated) == (
                 y.conditioned, y.both_fraction, y.std_error, y.argmax_separated)
             assert x.scatter.tobytes() == y.scatter.tobytes()
+
+    @pytest.mark.parametrize("chunk", [3, 64, 256])
+    @pytest.mark.parametrize("name", ["unique_max_check", "excess_conditional_ladder"])
+    def test_estimates_independent_of_chunk_size(self, monkeypatch, name, chunk):
+        # 20,000 draws: 312 or 313 per stream, one DEFAULT_CHUNK each
+        run = {
+            "unique_max_check": lambda w: unique_max_check(
+                SMALL, (0.1, 0.01, 0.001), 40_000, SEED, workers=w),
+            "excess_conditional_ladder": lambda w: excess_conditional_ladder(
+                T, 0.05, (0.2, 0.1, 0.05), SMALL, 80_000, SEED, workers=w),
+        }[name]
+
+        def bits(ests):
+            return [(e.mean.hex(), e.std_error.hex(), e.samples) for e in ests]
+
+        monkeypatch.setattr(concentration, "_CHUNK", DEFAULT_CHUNK)
+        ref = bits(run(1))
+        monkeypatch.setattr(concentration, "_CHUNK", chunk)
+        assert bits(run(1)) == bits(run(2)) == ref
 
     @pytest.mark.parametrize("samples, paths", [(1_000, 1_000), (100_001, 100_004)])
     def test_unconditioned_row_counts_four_views_per_draw(self, samples, paths):

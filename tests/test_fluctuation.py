@@ -18,6 +18,7 @@ from maxbv.fluctuation import (
     mc_halfline_prob,
     rational_str,
 )
+from maxbv.paths import top_two_gap
 from maxbv.reporting import verdict
 from maxbv.sampling import (
     SeedSpec,
@@ -149,6 +150,29 @@ class TestArgmaxHistogram:
         clean, _ = _argmax_census(origin[~tied, 1:].copy())
         assert (clean == untied).all()
         assert counts.sum() == 2000
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_planted_ties_match_top_two_gap(self, copies):
+        # the definition the census had: positions (argmax + 1) % n, and a
+        # tie row is one whose top-two gap is exactly 0
+        rng = SeedSpec(6, copies).generator()
+        n = 20
+        sums = bridge_sums_batch(rng, 1024, n)
+        rows = np.arange(0, 1024, 7)
+        arg = sums[rows].argmax(axis=1)
+        for k in range(1, copies):  # plant each row's maximum at more nodes
+            sums[rows, (arg + 5 * k) % n] = sums[rows, arg]
+        sums[5, :] = sums[6, :] = 0.0  # all-zero rows, one with a -0.0
+        sums[6, 4] = -0.0
+        gap = top_two_gap(sums)
+        assert (gap == 0.0).sum() == len(rows) + 2
+        counts, ties = _argmax_census(sums)
+        assert ties == int((gap == 0.0).sum())
+        old = np.bincount((sums.argmax(axis=1) + 1) % n, minlength=n)
+        assert counts.tolist() == old.tolist()
+        untied, untied_ties = _argmax_census(np.delete(sums, np.flatnonzero(gap == 0.0), 0))
+        assert untied_ties == 0
+        assert untied.sum() == 1024 - ties
 
 
 class TestStayBelowLaw:

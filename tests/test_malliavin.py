@@ -31,6 +31,7 @@ from maxbv.malliavin import (
 from maxbv.density import lt_zero_closed, walk_max_moments
 from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import (
+    _ROW_BLOCK,
     Direction,
     TimeGrid,
     direction_catalog,
@@ -610,17 +611,22 @@ def _budget_calls(grid):
     }
 
 
-def _budget_peak(name, streams_of_chunks=1):
-    """Traced peak of one budget call, in driver chunk buffers, at
-    ``streams_of_chunks`` full driver chunks per substream."""
-    call = _budget_calls(BUDGET_GRID)[name]
+def _traced_peak(call, samples):
+    """Traced peak in bytes of ``call(samples)``."""
     call(2_000)  # first-call allocations (lazy imports, caches) are not paths
     tracemalloc.start()
     try:
-        call(streams_of_chunks * N_SUBSTREAMS * DEFAULT_CHUNK)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(samples)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _budget_peak(name, streams_of_chunks=1):
+    """Traced peak of one budget call, in ``DEFAULT_CHUNK`` path buffers,
+    at ``streams_of_chunks`` full chunks per substream."""
+    call = _budget_calls(BUDGET_GRID)[name]
+    peak = _traced_peak(call, streams_of_chunks * N_SUBSTREAMS * DEFAULT_CHUNK)
     return peak / (DEFAULT_CHUNK * (BUDGET_GRID.n + 1) * 8)
 
 
@@ -639,22 +645,31 @@ class TestMemoryBudget:
         assert _budget_peak(name) <= 1.5
 
 
+CENSUS = ["unique_max_check", "excess_conditional_ladder", "double_max_ladder"]
+
+
 class TestCensusMemoryBudget:
-    """The concentration estimators draw in blocks of a quarter of a driver
-    chunk, read the -W views from W without a second path buffer, and fold
-    each stream's results as they arrive, so their peak does not grow with
-    the samples.  Measured, at one and four driver chunks per substream:
-    0.32/0.32, 0.42/0.41 and 0.43/0.45 chunk buffers for unique_max_check,
-    excess_conditional_ladder and double_max_ladder.  With chunks of up to a
-    full driver chunk and the paths negated in place, they read 0.59/1.12,
-    0.43/1.63 and 0.47/1.66."""
+    """The concentration estimators draw one row block per chunk, read the
+    -W views from W without a second path buffer, and fold each stream's
+    results as they arrive, so their peak does not grow with the samples.
+    Measured, at one and four DEFAULT_CHUNKs per substream: 0.13/0.13,
+    0.14/0.14 and 0.17/0.17 DEFAULT_CHUNK path buffers for unique_max_check,
+    excess_conditional_ladder and double_max_ladder, and at n = 1000 2.01,
+    2.02 and 2.08 row-block path buffers: the chunk's paths and the cumsum
+    temporary of one row block.  With 256-row chunks they read 0.32/0.32,
+    0.42/0.41 and 0.43/0.45, and 5.01, 6.06 and 6.09 row blocks."""
 
     @pytest.mark.parametrize("streams_of_chunks", [1, 4])
-    @pytest.mark.parametrize(
-        "name", ["unique_max_check", "excess_conditional_ladder", "double_max_ladder"]
-    )
+    @pytest.mark.parametrize("name", CENSUS)
     def test_peak_half_a_chunk(self, name, streams_of_chunks):
-        assert _budget_peak(name, streams_of_chunks) <= 0.5
+        assert _budget_peak(name, streams_of_chunks) <= 0.2
+
+    @pytest.mark.parametrize("name", CENSUS)
+    def test_peak_in_row_blocks_at_n1000(self, name):
+        grid = TimeGrid(1000, 1.0)
+        # 65,536 paths: 8 (unique_max) or 4 (ladders) row blocks per substream
+        peak = _traced_peak(_budget_calls(grid)[name], 16 * N_SUBSTREAMS * _ROW_BLOCK)
+        assert peak / (_ROW_BLOCK * (grid.n + 1) * 8) <= 2.5
 
 
 class TestSigma:
