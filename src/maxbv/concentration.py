@@ -97,6 +97,9 @@ from .sampling import (
 #: moves memory and time but no estimate.
 _CHUNK = _ROW_BLOCK
 
+#: Conditioned (left, right) excess pairs kept by :func:`double_max_ladder`.
+_SCATTER_CAP = 512
+
 
 def _draws(samples: int, views: int) -> int:
     """Brownian draws that give ``samples`` evaluated paths, ``views`` per
@@ -223,7 +226,6 @@ def double_max_ladder(
     samples: int,
     seed: SeedSpec,
     *,
-    scatter_cap: int = 512,
     workers: int = 1,
 ) -> list[DoubleMaxSummary]:
     """Fraction of conditioned paths whose excesses both exceed delta, for a
@@ -232,7 +234,7 @@ def double_max_ladder(
     Counted paths are also checked for strict argmax separation
     (left argmax < t < right argmax), which positive excesses force.
     ``samples`` is rounded up to a multiple of four paths, four views per
-    draw.  The scatter reservoir is the first ``scatter_cap`` conditioned
+    draw.  The scatter reservoir is the first ``_SCATTER_CAP`` conditioned
     (left, right) excess pairs at the widest eps, in stream order, draw
     order within a stream and view order (W, -W, W~, -W~) within a draw, so
     it depends neither on the worker count nor on the chunk size.
@@ -258,11 +260,11 @@ def double_max_ladder(
         # boolean indexing walks the draws in order, the views within each;
         # the reservoir is a copy, since a slice would pin the whole array
         kept = np.stack((left.T, right.T), axis=-1)[gap.T < widths[-1]]
-        return counts, kept[:scatter_cap].copy()
+        return counts, kept[:_SCATTER_CAP].copy()
 
     def combine(a, b):
         counts = a[0] + b[0]
-        scatter = np.vstack((a[1], b[1]))[:scatter_cap].copy()
+        scatter = np.vstack((a[1], b[1]))[:_SCATTER_CAP].copy()
         return counts, scatter
 
     counts, scatter = mc_collect(

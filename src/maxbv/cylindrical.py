@@ -125,22 +125,15 @@ class CylindricalFunction:
                 raise ValueError(f"evaluation index {i} off the grid")
 
     def _points(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        if not self.indices:
-            return np.empty(values.shape[:-1] + (0,))
-        return values[..., list(self.indices)]
+        return np.asarray(values)[..., list(self.indices)]
 
     def value(self, values: np.ndarray) -> np.ndarray:
-        if not self.indices:
-            return np.ones(np.asarray(values).shape[:-1])
         return self.outer.value(self._points(values))
 
     def directional(self, values: np.ndarray, h: Direction) -> np.ndarray:
         """Directional derivative along h: sum_j d_j phi * h(t_j)."""
         if h.grid != self.grid:
             raise GridMismatchError("direction and functional on different grids")
-        if not self.indices:
-            return np.zeros(np.asarray(values).shape[:-1])
         hp = h.primitive[list(self.indices)]
         return self.outer.grad(self._points(values)) @ hp
 
@@ -150,8 +143,6 @@ class CylindricalFunction:
         """Mixed second derivative along (k, h) via the exact Hessian."""
         if k.grid != self.grid or h.grid != self.grid:
             raise GridMismatchError("direction and functional on different grids")
-        if not self.indices:
-            return np.zeros(np.asarray(values).shape[:-1])
         pts = self._points(values)
         hp = h.primitive[list(self.indices)]
         kp = k.primitive[list(self.indices)]
@@ -159,8 +150,9 @@ class CylindricalFunction:
 
 
 def constant_one(grid: TimeGrid) -> CylindricalFunction:
-    """g identically 1 (no evaluation points)."""
-    return CylindricalFunction("const1", grid, (), PolynomialOuter(terms=()))
+    """g identically 1: no evaluation points, and the polynomial whose one
+    term is the constant 1."""
+    return CylindricalFunction("const1", grid, (), PolynomialOuter(terms=((1.0, ()),)))
 
 
 def catalog(grid: TimeGrid) -> list[CylindricalFunction]:

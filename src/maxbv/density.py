@@ -187,8 +187,8 @@ def tv_bound_discrete(n: int, horizon: float = 1.0) -> TVBoundRow:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     p = np.array([halfline_prob_float(j) for j in range(n + 1)])
     # sum over 0 <= m < k <= n of p[m] * p[n-k] / sqrt(k-m), grouped by d = k-m
     q = p[::-1]  # q[k] = p[n-k]
@@ -220,8 +220,8 @@ def walk_max_moments(n: int, horizon: float) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     a = np.sqrt(horizon / n / (2.0 * math.pi * np.arange(1, n + 1)))
     cum = np.cumsum(a)
     mean = float(cum[-1])

@@ -373,8 +373,7 @@ def _run_chain_vs_weak(p, seed, workers):
     # both routes on common paths: the gate is a paired test on their
     # per-path difference, whose standard error accounts for the correlation
     weak, chain, diff = malliavin.chain_vs_weak_paired(
-        g, k, h, grid, malliavin.KernelConfig(), p["samples"], seed,
-        nodes=p["nodes"], workers=workers,
+        g, k, h, grid, p["samples"], seed, nodes=p["nodes"], workers=workers
     )
     primary = chain.estimate_half  # less kernel bias; diagnostic bounds the rest
     res = ExperimentResult([
@@ -427,9 +426,7 @@ def _run_lt_zero(p, seed, workers):
 def _run_lt_zero_mc(p, seed, workers):
     grid = TimeGrid(p["n"], p["horizon"])
     t_index = _split_index(p)
-    kde = malliavin.split_gap_density_mc(
-        t_index, grid, malliavin.KernelConfig(), p["samples"], seed, workers=workers
-    )
+    kde = malliavin.split_gap_density_mc(t_index, grid, p["samples"], seed, workers=workers)
     ref = density.lt_zero(p["t_frac"] * p["horizon"], p["horizon"])
     est = kde.estimate_half
     return ExperimentResult([

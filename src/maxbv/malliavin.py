@@ -67,21 +67,18 @@ class FDConfig:
             raise ValueError("tolerance must be positive")
 
 
-@dataclass(frozen=True)
 class KernelConfig:
-    """Triangular-kernel conditioning of the split gap at 0.
+    """The triangular kernel K_b(x) = max(0, 1 - |x|/b) / b of
+    :class:`SplitKernel`.
 
-    ``bandwidth=None`` selects the bandwidth of :class:`SplitKernel` from
-    the exact variance of the split gap.
+    It has no settings: it keeps its name only because the benchmark's
+    tracer wraps ``KernelConfig.weights`` on the class, so callers look the
+    method up there at call time.  ROADMAP item 3 deletes it with the
+    kernel.
     """
 
-    bandwidth: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    def weights(self, x: np.ndarray, bandwidth: float) -> np.ndarray:
+    @staticmethod
+    def weights(x: np.ndarray, bandwidth: float) -> np.ndarray:
         return np.maximum(0.0, 1.0 - np.abs(x / bandwidth)) / bandwidth
 
 
@@ -372,28 +369,24 @@ class SplitKernel:
     which targets the split-gap density at 0 times the conditional mean of y
     given a zero gap, integrated against the node weights.  It is reported
     at b and at b/2, and with the in-window count |gap| <= b of the
-    least-covered node.  ``bandwidth`` is ``kcfg.bandwidth`` or, when that
-    is unset, samples^(-1/5) times the std of the gap at the middle node
-    t.  That std is exact: the gap is M' - M'', the maxima of the
-    independent (n - t)-step walk after t and t-step walk before it (read
-    backwards from t), so its variance is the sum of the two
+    least-covered node.  ``bandwidth`` is samples^(-1/5) times the std of
+    the gap at the middle node t.  That std is exact: the gap is M' - M'',
+    the maxima of the independent (n - t)-step walk after t and t-step walk
+    before it (read backwards from t), so its variance is the sum of the two
     :func:`maxbv.density.walk_max_moments` variances.
     """
 
-    kcfg: KernelConfig
     t_idx: np.ndarray
     node_weight: np.ndarray
     bandwidth: float
 
     @classmethod
-    def build(cls, grid, t_idx, node_weight, kcfg, samples) -> SplitKernel:
-        b = kcfg.bandwidth
-        if b is None:
-            t = int(t_idx[len(t_idx) // 2])
-            right = walk_max_moments(grid.n - t, (grid.n - t) * grid.step)[1]
-            left = walk_max_moments(t, t * grid.step)[1]
-            b = samples ** (-0.2) * math.sqrt(right + left)
-        return cls(kcfg, np.asarray(t_idx), np.asarray(node_weight, dtype=float), b)
+    def build(cls, grid, t_idx, node_weight, samples) -> SplitKernel:
+        t = int(t_idx[len(t_idx) // 2])
+        right = walk_max_moments(grid.n - t, (grid.n - t) * grid.step)[1]
+        left = walk_max_moments(t, t * grid.step)[1]
+        b = samples ** (-0.2) * math.sqrt(right + left)
+        return cls(np.asarray(t_idx), np.asarray(node_weight, dtype=float), b)
 
     def rows(
         self,
@@ -408,8 +401,8 @@ class SplitKernel:
         delta = bwd_max - fwd_max  # (count, nodes), column-major like the tables
         yv = 1.0 if y is None else y(fwd_arg, bwd_arg)
         b = self.bandwidth
-        xb = (yv * self.kcfg.weights(delta, b)) @ self.node_weight
-        xh = (yv * self.kcfg.weights(delta, b / 2.0)) @ self.node_weight
+        xb = (yv * KernelConfig.weights(delta, b)) @ self.node_weight
+        xh = (yv * KernelConfig.weights(delta, b / 2.0)) @ self.node_weight
         return np.vstack((xb, xh, (np.abs(delta) <= b).T))
 
     def estimate(self, moments: Sequence[MCEstimate]) -> ChainMaxEstimate:
@@ -429,7 +422,6 @@ def chain_vs_weak_paired(
     k: Direction,
     h: Direction,
     grid: TimeGrid,
-    kcfg: KernelConfig,
     samples: int,
     seed: SeedSpec,
     *,
@@ -449,9 +441,8 @@ def chain_vs_weak_paired(
     standard error, not by combining their separate standard errors.
     """
     t_idx = split_nodes(grid.n, nodes)
-    kernel = SplitKernel.build(
-        grid, t_idx, h.density[t_idx] * (grid.horizon / nodes), kcfg, samples
-    )
+    node_weight = h.density[t_idx] * (grid.horizon / nodes)
+    kernel = SplitKernel.build(grid, t_idx, node_weight, samples)
     kp = k.primitive
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -468,7 +459,6 @@ def chain_vs_weak_paired(
 def split_gap_density_mc(
     t_index: int,
     grid: TimeGrid,
-    kcfg: KernelConfig,
     samples: int,
     seed: SeedSpec,
     *,
@@ -480,7 +470,7 @@ def split_gap_density_mc(
     """
     if not (0 < t_index < grid.n):
         raise ValueError("t_index must be an interior grid node")
-    kernel = SplitKernel.build(grid, [t_index], [1.0], kcfg, samples)
+    kernel = SplitKernel.build(grid, [t_index], [1.0], samples)
 
     def statistic(rng: np.random.Generator, count: int) -> np.ndarray:
         return kernel.rows(brownian_values_batch(rng, count, grid))

@@ -92,8 +92,9 @@ class Direction:
         return float(np.abs(self.primitive).max())
 
     @classmethod
-    def constant(cls, grid: TimeGrid, value: float = 1.0, label: str = "unit") -> Direction:
-        return cls(grid, np.full(grid.n, float(value)), label=label)
+    def constant(cls, grid: TimeGrid) -> Direction:
+        """Density 1 on every interval, labelled "unit"."""
+        return cls(grid, np.ones(grid.n), label="unit")
 
     @classmethod
     def indicator(
@@ -111,7 +112,7 @@ def direction_catalog(grid: TimeGrid) -> list[Direction]:
     half = grid.horizon / 2
     tent = np.where(grid.times[:-1] < half, 1.0, -1.0)
     return [
-        Direction.constant(grid, 1.0, label="unit"),
+        Direction.constant(grid),
         Direction.indicator(grid, 0.0, half, label="front-half"),
         Direction(grid, tent, label="tent"),
     ]

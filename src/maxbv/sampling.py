@@ -273,7 +273,6 @@ def mc_run_many(
     seed: SeedSpec,
     *,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[MCEstimate]:
     """Monte Carlo means of several per-sample statistics on shared draws.
 
@@ -286,12 +285,7 @@ def mc_run_many(
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     moments = mc_collect(
-        _moment_task(statistic, seed),
-        samples,
-        seed,
-        combine=np.add,
-        workers=workers,
-        chunk_size=chunk_size,
+        _moment_task(statistic, seed), samples, seed, combine=np.add, workers=workers
     )
     return [moment_estimate(count, s1, s2) for count, s1, s2 in moments]
 
@@ -302,7 +296,6 @@ def mc_run(
     seed: SeedSpec,
     *,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> MCEstimate:
     """Monte Carlo mean of a per-sample statistic: the one-row case of
     :func:`mc_run_many`.
@@ -320,7 +313,7 @@ def mc_run(
             )
         return vals[None]
 
-    (est,) = mc_run_many(one_row, samples, seed, workers=workers, chunk_size=chunk_size)
+    (est,) = mc_run_many(one_row, samples, seed, workers=workers)
     return est
 
 

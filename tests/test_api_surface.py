@@ -19,15 +19,24 @@ Every name that a ``perfbench`` file imports from ``maxbv`` must exist:
 ``pytest perfbench`` does not import every benchmark file, so a deleted
 name would otherwise break only the benchmark run.
 
-Likewise a defaulted parameter of a public top-level function, and a
-defaulted field of a public frozen dataclass (a config object), must be
-set, by keyword or by position, by some call in ``src/maxbv`` or
-``perfbench``; one that no such call sets is a constant.  The test seams
-that stay are listed in ``KNOBS`` with their reason.
+Likewise a defaulted parameter of a public top-level function or of a
+public class's classmethod or staticmethod (called as ``Class.method``),
+and a defaulted field of a public frozen dataclass (a config object), must
+be set, by keyword or by position, by some call in ``src/maxbv`` or
+``perfbench``; a literal equal to the default does not set it.  One that no
+such call sets is a constant, and there is no list of exemptions: a case
+only tests reach is reached by monkeypatching a module constant.
+
+The benchmark's tracer rebinds names by attribute (``KernelConfig.weights``,
+``cli.write_result_csv``, ``experiments.run_experiment``), so installing it
+in a child process must succeed.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -63,15 +72,6 @@ ALLOWED = {
     "malliavin.ChainMaxEstimate": _RESULT,
     "malliavin.SplitKernel": "the split-point estimator behind two public routes",
     "sampling.stream_counts": "the substream plan of mc_collect",
-}
-
-
-_SEAM = "test seam: tests set it to exercise a case the callers never reach"
-
-KNOBS = {
-    "sampling.mc_run(chunk_size=)": _SEAM + " (chunk boundaries)",
-    "concentration.double_max_ladder(scatter_cap=)": _SEAM + " (a full reservoir)",
-    "malliavin.KernelConfig(bandwidth=)": _SEAM + " (a fixed bandwidth, not the exact one)",
 }
 
 
@@ -236,6 +236,18 @@ def test_benchmark_import_scan_flags_a_missing_name(tmp_path):
     assert missing_benchmark_imports(BENCH + [planted]) == {"maxbv.paths.no_such_kernel"}
 
 
+def test_benchmark_tracer_installs():
+    # a src edit that removes a name the tracer binds would otherwise break
+    # only the traced benchmark run
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracing import Tracer, install; install(Tracer())"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_star_import_resolves_every_exported_name():
     namespace = {}
     exec("from maxbv import *", namespace)
@@ -250,14 +262,21 @@ def test_star_import_resolves_every_exported_name():
     assert set(maxbv.__all__) == imported | {"__version__"}
 
 
-def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
-    """(name, position) of each defaulted parameter; keyword-only ones have
-    no position."""
+def _decorated(fn: ast.FunctionDef, name: str) -> bool:
+    return any(getattr(d, "id", None) == name for d in fn.decorator_list)
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None, ast.expr]]:
+    """(name, position, default) of each defaulted parameter; keyword-only
+    ones have no position.  A classmethod's positions leave out ``cls``,
+    which its callers do not pass."""
     args = fn.args
     positional = args.posonlyargs + args.args
+    if _decorated(fn, "classmethod"):
+        positional = positional[1:]
     first = len(positional) - len(args.defaults)
-    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
-    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = [(a.arg, first + i, d) for i, (a, d) in enumerate(zip(positional[first:], args.defaults))]
+    out += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return out
 
 
@@ -270,66 +289,92 @@ def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
     )
 
 
-def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int]]:
-    """(name, position) of each defaulted field of a dataclass: its
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int, ast.expr]]:
+    """(name, position, default) of each defaulted field of a dataclass: its
     constructor takes the fields in order."""
     fields = [node for node in cls.body
               if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
-    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+    return [(f.target.id, i, f.value) for i, f in enumerate(fields) if f.value is not None]
 
 
-def _sets(call: ast.Call, param: str, position: int | None) -> bool:
-    """Whether ``call`` may set ``param``: by keyword, through ``**``, or by
-    a positional or starred argument that reaches its position."""
-    if any(kw.arg in (param, None) for kw in call.keywords):
-        return True
-    return position is not None and any(
-        i >= position or isinstance(a, ast.Starred) for i, a in enumerate(call.args)
-    )
+def _is_default(arg: ast.expr, default: ast.expr) -> bool:
+    """Whether ``arg`` is a literal equal to the literal ``default``."""
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except (ValueError, TypeError):
+        return False
+
+
+def _sets(call: ast.Call, param: str, position: int | None, default: ast.expr) -> bool:
+    """Whether ``call`` may set ``param`` to other than its default: by
+    keyword, through ``**``, or by a positional or starred argument that
+    reaches its position.  A literal equal to the default does not set it."""
+    for kw in call.keywords:
+        if kw.arg is None:
+            return True
+        if kw.arg == param:
+            return not _is_default(kw.value, default)
+    if position is None:
+        return False
+    for i, a in enumerate(call.args):
+        if isinstance(a, ast.Starred):
+            return True
+        if i == position:
+            return not _is_default(a, default)
+    return False
+
+
+def _knob_owners(tree: ast.Module):
+    """(called name, defaulted parameters) of every public top-level
+    function, public frozen dataclass, and classmethod or staticmethod of a
+    public class; a method is called as ``Class.method``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, _defaulted_parameters(node)
+        elif isinstance(node, ast.ClassDef):
+            if _is_frozen_dataclass(node):
+                yield node.name, _defaulted_fields(node)
+            for fn in node.body:
+                if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and (_decorated(fn, "classmethod") or _decorated(fn, "staticmethod"))):
+                    yield f"{node.name}.{fn.name}", _defaulted_parameters(fn)
 
 
 def unset_knobs(src=SRC) -> set[str]:
     """module.name(param=) of every defaulted parameter of a public
-    top-level function, and every defaulted field of a public frozen
-    dataclass, that no call in src or perfbench sets.  Calls are matched by
-    the called name, bare or as an attribute; a dataclass is called by its
-    class name."""
+    top-level function or of a public class's classmethod or staticmethod,
+    and every defaulted field of a public frozen dataclass, that no call in
+    src or perfbench sets to other than its default.  Functions are matched
+    by the called name, bare or as an attribute; a dataclass is called by
+    its class name, and a method as ``Class.method``."""
     calls = defaultdict(list)
     for path in src + BENCH:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls[name].append(node)
+                if isinstance(func, ast.Name):
+                    calls[func.id].append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls[func.attr].append(node)
+                    if isinstance(func.value, ast.Name):
+                        calls[f"{func.value.id}.{func.attr}"].append(node)
     out = set()
     for path in src:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                knobs = _defaulted_parameters(node)
-            elif isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
-                knobs = _defaulted_fields(node)
-            else:
-                continue
-            if node.name.startswith("_"):
-                continue
-            for param, position in knobs:
-                if not any(_sets(c, param, position) for c in calls[node.name]):
-                    out.add(f"{path.stem}.{node.name}({param}=)")
+        for name, knobs in _knob_owners(ast.parse(path.read_text())):
+            for param, position, default in knobs:
+                if not any(_sets(c, param, position, default) for c in calls[name]):
+                    out.add(f"{path.stem}.{name}({param}=)")
     return out
 
 
 def test_every_defaulted_parameter_is_set_outside_the_tests():
-    unlisted = sorted(unset_knobs() - KNOBS.keys())
-    assert not unlisted, (
+    unset = sorted(unset_knobs())
+    assert not unset, (
         f"defaulted parameters that no call in src or perfbench sets: "
-        f"{unlisted}; make them constants, or list them in KNOBS with the "
-        f"reason they stay"
+        f"{unset}; make them constants"
     )
-
-
-def test_knob_allowlist_has_no_stale_entries():
-    stale = sorted(KNOBS.keys() - unset_knobs())
-    assert not stale, f"KNOBS entries that are gone or now set elsewhere: {stale}"
 
 
 def test_scan_flags_a_knob_no_caller_sets(tmp_path):
@@ -340,11 +385,17 @@ def test_scan_flags_a_knob_no_caller_sets(tmp_path):
         "def run(opts):\n"
         "    planted(100, 2.0, **opts)\n"
         "    planted(100, workers=2)\n"
+        "    planted(100, 1.0, bins=10)\n"
     )
     # scale is set by position and workers by keyword; ** may set bins
     assert unset_knobs(SRC + [extra]) == unset_knobs()
+    # a literal equal to the default sets nothing
     extra.write_text(extra.read_text().replace("2.0, **opts", "2.0"))
     assert unset_knobs(SRC + [extra]) - unset_knobs() == {"knobs.planted(bins=)"}
+    extra.write_text(extra.read_text().replace("2.0", "1.0"))
+    assert unset_knobs(SRC + [extra]) - unset_knobs() == {
+        "knobs.planted(bins=)", "knobs.planted(scale=)"
+    }
 
 
 def test_scan_flags_a_config_field_no_caller_sets(tmp_path):
@@ -365,3 +416,38 @@ def test_scan_flags_a_config_field_no_caller_sets(tmp_path):
     assert unset_knobs(SRC + [extra]) == unset_knobs()
     extra.write_text(extra.read_text().replace("2.0, **opts", "2.0"))
     assert unset_knobs(SRC + [extra]) - unset_knobs() == {"configs.Planted(bins=)"}
+    extra.write_text(extra.read_text().replace("label='x'", "label=''"))
+    assert unset_knobs(SRC + [extra]) - unset_knobs() == {
+        "configs.Planted(bins=)", "configs.Planted(label=)"
+    }
+
+
+def test_scan_flags_a_class_method_knob(tmp_path):
+    extra = tmp_path / "methods.py"
+    extra.write_text(
+        "class Planted:\n"
+        "    @classmethod\n"
+        "    def make(cls, grid, value=1.0, label='unit'):\n"
+        "        return cls()\n\n"
+        "    @staticmethod\n"
+        "    def weights(x, width=0.5):\n"
+        "        return x\n\n"
+        "def run(grid, x):\n"
+        "    Planted.make(grid, 2.0)\n"
+        "    Planted.make(grid, label='u')\n"
+        "    Planted.weights(x, 0.25)\n"
+    )
+    # value is set by position (cls is not passed), label by keyword and
+    # width by position
+    assert unset_knobs(SRC + [extra]) == unset_knobs()
+    # only Class.method calls count, and the defaults set nothing
+    extra.write_text(
+        extra.read_text()
+        .replace("Planted.make(grid, 2.0)", "Planted.make(grid, 1.0, 'unit')")
+        .replace("label='u'", "label='unit'")
+        .replace("Planted.weights(x, 0.25)", "x.weights(x, 0.25)")
+    )
+    assert unset_knobs(SRC + [extra]) - unset_knobs() == {
+        "methods.Planted.make(value=)", "methods.Planted.make(label=)",
+        "methods.Planted.weights(width=)",
+    }

@@ -107,10 +107,9 @@ class TestDoubleMax:
         comb = (tight.std_error**2 + base.std_error**2) ** 0.5
         assert tight.both_fraction - base.both_fraction > 3 * comb
 
-    def test_witness_scatter_reservoir(self):
-        (s,) = double_max_ladder(
-            HALF, [0.1], 0.05, GRID, 50_000, SEED, scatter_cap=64
-        )
+    def test_witness_scatter_reservoir(self, monkeypatch):
+        monkeypatch.setattr(concentration, "_SCATTER_CAP", 64)
+        (s,) = double_max_ladder(HALF, [0.1], 0.05, GRID, 50_000, SEED)
         assert s.scatter.shape[1] == 2
         assert 0 < len(s.scatter) <= 64
         assert (s.scatter >= 0).all()
@@ -283,7 +282,7 @@ class TestReflection:
     def test_scatter_in_view_order(self):
         # the first cap conditioned pairs in stream order, then draw order,
         # then view order W, -W, W~, -W~
-        eps, delta, cap = 0.1, 0.05, 512
+        eps, delta, cap = 0.1, 0.05, concentration._SCATTER_CAP
         kept = []
         for w in stream_draws(20_000):
             pairs = [split_reference(v) for v in segment_views(w)]
@@ -291,7 +290,7 @@ class TestReflection:
             b = np.column_stack([p[2] for p in pairs])
             kept.append(np.stack((a, b), axis=-1)[np.abs(b - a) < eps])
         ref = np.vstack(kept)[:cap]
-        (s,) = double_max_ladder(T, [eps], delta, SMALL, 80_000, SEED, scatter_cap=cap)
+        (s,) = double_max_ladder(T, [eps], delta, SMALL, 80_000, SEED)
         assert s.scatter.shape == ref.shape == (cap, 2)
         assert len(kept[0]) < cap  # the reservoir spans streams
         np.testing.assert_allclose(s.scatter, ref, rtol=0, atol=1e-12)

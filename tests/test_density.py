@@ -132,6 +132,11 @@ class TestTVBound:
         assert row.boundary == pytest.approx(scale * boundary, rel=1e-12)
         assert row.total > 0
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_horizon(self, horizon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            tv_bound_discrete(10, horizon)
+
     def test_horizon_scaling_exact(self):
         r1 = tv_bound_discrete(50, 1.0)
         r4 = tv_bound_discrete(50, 4.0)
@@ -223,6 +228,13 @@ class TestWalkMaxMoments:
             walk_max_moments(0, 1.0)
         with pytest.raises(ValueError):
             walk_max_moments(5, 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_horizon(self, horizon):
+        # NaN fails every comparison and inf passes horizon > 0, so both
+        # slipped past a positivity check into (nan, nan) and (inf, nan)
+        with pytest.raises(ValueError, match="finite and positive"):
+            walk_max_moments(10, horizon)
 
 
 class TestLimitIntegral:

@@ -375,39 +375,36 @@ class TestWeakEstimator:
         assert abs(est.mean - ref) <= 3 * est.std_error + allowance
 
 
-def chain_at_midpoint(k, kcfg, samples, seed):
+def chain_at_midpoint(k, samples, seed):
     """The split-point estimate of g = 1 at the single node t = T/2, with
     unit node weight."""
     h = Direction.constant(GRID)
-    return chain_vs_weak_paired(constant_one(GRID), k, h, GRID, kcfg, samples, seed,
-                                nodes=1)[1]
+    return chain_vs_weak_paired(constant_one(GRID), k, h, GRID, samples, seed, nodes=1)[1]
 
 
 class TestChainMax:
     def test_positive_for_unit_direction(self):
         # argmax times are ordered across the split, so the estimand is > 0
-        ch = chain_at_midpoint(Direction.constant(GRID), KernelConfig(), 50_000,
-                               SeedSpec(5150, 14))
+        ch = chain_at_midpoint(Direction.constant(GRID), 50_000, SeedSpec(5150, 14))
         assert ch.estimate.mean - 3 * ch.estimate.std_error > 0
         assert ch.effective_samples >= 100
 
     def test_zero_density_direction_gives_zero(self):
         zero = Direction(GRID, np.zeros(GRID.n), label="null")
-        ch = chain_at_midpoint(zero, KernelConfig(), 5_000, SeedSpec(5150, 15))
+        ch = chain_at_midpoint(zero, 5_000, SeedSpec(5150, 15))
         assert ch.estimate.mean == 0.0
 
     def test_bandwidth_flag(self):
-        with pytest.raises(InsufficientSamplesError):
-            chain_at_midpoint(Direction.constant(GRID), KernelConfig(bandwidth=1e-9),
-                              2_000, SeedSpec(5150, 16))
+        # the in-window count grows like samples^(4/5) at the exact
+        # bandwidth: 150 paths leave 55 in the window, below the floor of 100
+        with pytest.raises(InsufficientSamplesError, match="effective samples"):
+            chain_at_midpoint(Direction.constant(GRID), 150, SeedSpec(5150, 16))
 
     def test_integrated_matches_weak_route(self):
         g = constant_one(GRID)
         h = Direction.constant(GRID)
         weak = weak_reference(g, h, h, GRID, 100_000, SeedSpec(5150, 19))
-        _, chain, _ = chain_vs_weak_paired(
-            g, h, h, GRID, KernelConfig(), 100_000, SeedSpec(5150, 20), nodes=16
-        )
+        _, chain, _ = chain_vs_weak_paired(g, h, h, GRID, 100_000, SeedSpec(5150, 20), nodes=16)
         comb = math.hypot(weak.std_error, chain.estimate_half.std_error)
         gap = abs(weak.mean - chain.estimate_half.mean)
         assert gap <= 3 * comb + chain.bias_diagnostic
@@ -422,15 +419,14 @@ def _chain_integrated_on_full_tables(g, k, h, grid, b, samples, seed, nodes):
     )
     node_weight = h.density[t_idx] * (grid.horizon / nodes)
     kp = k.primitive
-    kcfg = KernelConfig()
 
     def task(rng, count):
         values = brownian_values_batch(rng, count, grid)
         fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
         delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
         y = g.value(values)[:, None] * (kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]])
-        xb = (y * kcfg.weights(delta, b)) @ node_weight
-        xh = (y * kcfg.weights(delta, b / 2.0)) @ node_weight
+        xb = (y * KernelConfig.weights(delta, b)) @ node_weight
+        xh = (y * KernelConfig.weights(delta, b / 2.0)) @ node_weight
         return np.array([count, xb.sum(), np.dot(xb, xb), xh.sum(), np.dot(xh, xh)])
 
     return mc_collect(task, samples, seed, combine=np.add)
@@ -455,7 +451,7 @@ class TestChainIntegratedTables:
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
         seed = SeedSpec(5150, 24)
-        _, chain, _ = chain_vs_weak_paired(g, k, h, GRID, KernelConfig(), 4_000, seed)
+        _, chain, _ = chain_vs_weak_paired(g, k, h, GRID, 4_000, seed)
         assert_chain_on_full_tables(chain, g, k, h, 4_000, seed)
 
 
@@ -467,22 +463,20 @@ class TestChainVsWeakPaired:
         h = Direction.constant(GRID)
         k = h if k_label == "unit" else Direction.indicator(GRID, 0.0, 0.5)
         seed = SeedSpec(5150, 25)
-        weak, chain, diff = chain_vs_weak_paired(
-            g, k, h, GRID, KernelConfig(), 4_000, seed, workers=2
-        )
+        weak, chain, diff = chain_vs_weak_paired(g, k, h, GRID, 4_000, seed, workers=2)
         assert weak == weak_reference(g, k, h, GRID, 4_000, seed)
         assert_chain_on_full_tables(chain, g, k, h, 4_000, seed)
         assert diff.samples == 4_000
 
     def test_effective_samples_is_the_least_covered_node(self):
         # 64 substreams of 20 paths, one chunk each: redraw every path and
-        # count, per node, the paths whose split gap lies in the window
+        # count, per node, the paths whose split gap lies in the window of
+        # the estimator's own bandwidth
         h = Direction.constant(GRID)
-        kcfg = KernelConfig(bandwidth=0.2)
         seed = SeedSpec(5150, 27)
         samples, nodes = 1_280, 24
         _, chain, _ = chain_vs_weak_paired(
-            constant_one(GRID), h, h, GRID, kcfg, samples, seed, nodes=nodes
+            constant_one(GRID), h, h, GRID, samples, seed, nodes=nodes
         )
         t_idx = malliavin.split_nodes(GRID.n, nodes)
         inside = np.zeros(nodes, dtype=np.int64)
@@ -490,21 +484,19 @@ class TestChainVsWeakPaired:
             values = brownian_values_batch(seed.generator(j), samples // 64, GRID)
             fwd_max, _, bwd_max, _ = running_max_tables(values)
             delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
-            inside += (np.abs(delta) <= kcfg.bandwidth).sum(axis=0)
+            inside += (np.abs(delta) <= chain.bandwidth).sum(axis=0)
         assert chain.effective_samples == inside.min()
 
     def test_difference_matches_per_path_reference(self):
         # 64 substreams of 20 paths, one chunk each: redraw every path and
-        # form the per-path difference weak - chain(b/2) from full tables
+        # form the per-path difference weak - chain(b/2) from full tables,
+        # at the estimator's own bandwidth b
         g = catalog_entry(GRID, "bump")
         h = Direction.constant(GRID)
         k = Direction.indicator(GRID, 0.0, 0.5)
-        kcfg = KernelConfig(bandwidth=0.3)
         seed = SeedSpec(5150, 26)
         samples, nodes = 1_280, 24
-        weak, chain, diff = chain_vs_weak_paired(
-            g, k, h, GRID, kcfg, samples, seed, nodes=nodes
-        )
+        weak, chain, diff = chain_vs_weak_paired(g, k, h, GRID, samples, seed, nodes=nodes)
         t_idx = np.unique(np.round((np.arange(nodes) + 0.5) * GRID.n / nodes).astype(int))
         node_weight = h.density[t_idx] * (GRID.horizon / nodes)
         kp = k.primitive
@@ -515,7 +507,8 @@ class TestChainVsWeakPaired:
             fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
             delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
             y = g.value(values)[:, None] * (kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]])
-            per_path.append(w - (y * kcfg.weights(delta, 0.15) * node_weight).sum(axis=1))
+            half = KernelConfig.weights(delta, chain.bandwidth / 2.0)
+            per_path.append(w - (y * half * node_weight).sum(axis=1))
         d = np.concatenate(per_path)
         assert diff.mean == pytest.approx(d.mean(), rel=1e-9, abs=1e-12)
         assert diff.std_error == pytest.approx(d.std(ddof=1) / math.sqrt(len(d)), rel=1e-9)
@@ -549,9 +542,7 @@ class TestChainVsWeakPaired:
 class TestSplitGapDensity:
     def test_kde_matches_quadrature(self):
         grid = TimeGrid(1000, 1.0)
-        kde = split_gap_density_mc(
-            500, grid, KernelConfig(), 150_000, SeedSpec(5150, 21)
-        )
+        kde = split_gap_density_mc(500, grid, 150_000, SeedSpec(5150, 21))
         ref = lt_zero_closed(1.0)
         assert abs(kde.estimate_half.mean - ref) / ref <= 0.05
 
@@ -569,7 +560,7 @@ class TestExactBandwidth:
         right = walk_max_moments(n - t, (n - t) * grid.step)[1]
         left = walk_max_moments(t, t * grid.step)[1]
         std = math.sqrt(right + left)
-        kernel = SplitKernel.build(grid, t_idx, np.ones(nodes), KernelConfig(), samples)
+        kernel = SplitKernel.build(grid, t_idx, np.ones(nodes), samples)
         assert kernel.bandwidth == samples**-0.2 * std
         # the former pilot: 4096 paths drawn in one batch from stream branch
         # 10_000, and the std of their gap at the middle node
@@ -588,17 +579,14 @@ BUDGET_GRID = TimeGrid(100, 1.0)
 
 
 def _budget_calls(grid):
-    """The path-batch estimators, at full driver chunks, with auto bandwidth
-    where they have a kernel."""
+    """The path-batch estimators, at full driver chunks."""
     h = Direction.constant(grid)
     k = Direction.indicator(grid, 0.0, 0.5)
     t = grid.n // 2
     bump = catalog_entry(grid, "bump")
     return {
-        "chain_vs_weak_paired": lambda s: chain_vs_weak_paired(
-            bump, k, h, grid, KernelConfig(), s, SEED, nodes=4),
-        "split_gap_density_mc": lambda s: split_gap_density_mc(
-            t, grid, KernelConfig(), s, SEED),
+        "chain_vs_weak_paired": lambda s: chain_vs_weak_paired(bump, k, h, grid, s, SEED, nodes=4),
+        "split_gap_density_mc": lambda s: split_gap_density_mc(t, grid, s, SEED),
         "adjoint2_means": lambda s: adjoint2_means(
             [(constant_one(grid), None), (bump, None)], k, h, grid, s, SEED),
         "verify_grad_max": lambda s: verify_grad_max(grid, s, SEED, CFG),

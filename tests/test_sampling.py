@@ -12,6 +12,7 @@ from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import TimeGrid
 from maxbv.reporting import verdict
 from maxbv.sampling import (
+    DEFAULT_CHUNK,
     SeedSpec,
     bridge_sums_batch,
     brownian_values_batch,
@@ -311,12 +312,14 @@ class TestMCRunMany:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_separate_runs_bitwise(self, workers):
-        many = mc_run_many(self.rows, 20_000, SEED, workers=workers, chunk_size=300)
+        # 2,187 or 2,188 paths per stream: two full DEFAULT_CHUNKs and a
+        # partial one, so the moments fold across chunk boundaries
+        samples = 140_000
+        assert stream_counts(samples).min() > 2 * DEFAULT_CHUNK
+        many = mc_run_many(self.rows, samples, SEED, workers=workers)
         for i, est in enumerate(many):
-            single = mc_run(
-                lambda rng, c, i=i: self.rows(rng, c)[i], 20_000, SEED,
-                workers=workers, chunk_size=300,
-            )
+            single = mc_run(lambda rng, c, i=i: self.rows(rng, c)[i], samples, SEED,
+                            workers=workers)
             assert est == single
 
     def test_nonfinite_value_in_one_row_aborts(self):
