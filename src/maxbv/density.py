@@ -1,7 +1,7 @@
 """Reflection-principle densities, the split-point density at zero, the
 discrete total-variation bound for the second-derivative measure of the
-running maximum, the exact moments of the walk maximum, and the bound's
-limiting singular integral.
+running maximum, the exact moments of the walk maximum and the law of its
+first argmax, and the bound's limiting singular integral.
 """
 
 from __future__ import annotations
@@ -100,13 +100,24 @@ def _quad(f, a: float, b: float, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     )
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Reject a non-finite or non-positive length or horizon, in the wording
+    of :class:`maxbv.paths.TimeGrid`."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _stay_below(n: int) -> np.ndarray:
+    """The stay-below probabilities p(j) = C(2j, j)/4^j for j = 0..n."""
+    return np.array([halfline_prob_float(j) for j in range(n + 1)])
+
+
 def segment_max_density(y: float, length: float) -> float:
     """Density of the running maximum of a Brownian segment of the given
     length, started at 0: the half-normal 2*phi(y/sqrt(L))/sqrt(L) for y >= 0.
 
     Via the reflection principle, P(max > a) = 2 P(W_L > a)."""
-    if length <= 0:
-        raise ValueError("segment length must be positive")
+    _require_positive("segment length", length)
     if y < 0:
         return 0.0
     s = math.sqrt(length)
@@ -116,6 +127,7 @@ def segment_max_density(y: float, length: float) -> float:
 def segment_max_mass(length: float) -> float:
     """Mass of the segment-max density: the trapezoid rule at 801 points up
     to 8 sqrt(length), plus the analytic half-normal tail beyond."""
+    _require_positive("segment length", length)
     y_max = 8.0 * math.sqrt(length)
     ys = np.linspace(0.0, y_max, 801)
     vals = np.array([segment_max_density(float(y), length) for y in ys])
@@ -133,6 +145,7 @@ def lt_zero(t: float, horizon: float) -> float:
     density of their difference at 0 is the overlap integral
     int_0^inf f_{T-t}(y) f_t(y) dy, evaluated by adaptive quadrature.
     """
+    _require_positive("horizon", horizon)
     if not (0.0 < t < horizon):
         raise ValueError(f"need 0 < t < horizon, got t={t}, horizon={horizon}")
     a, b = horizon - t, t
@@ -151,6 +164,7 @@ def lt_zero(t: float, horizon: float) -> float:
 def lt_zero_closed(horizon: float) -> float:
     """Closed evaluation of the overlap integral: sqrt(2/(pi*T)), independent
     of the split point (the Gaussian product integrates in closed form)."""
+    _require_positive("horizon", horizon)
     return math.sqrt(2.0 / (math.pi * horizon))
 
 
@@ -187,9 +201,8 @@ def tv_bound_discrete(n: int, horizon: float = 1.0) -> TVBoundRow:
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    p = np.array([halfline_prob_float(j) for j in range(n + 1)])
+    _require_positive("horizon", horizon)
+    p = _stay_below(n)
     # sum over 0 <= m < k <= n of p[m] * p[n-k] / sqrt(k-m), grouped by d = k-m
     q = p[::-1]  # q[k] = p[n-k]
     total = 0.0
@@ -220,14 +233,26 @@ def walk_max_moments(n: int, horizon: float) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    _require_positive("horizon", horizon)
     a = np.sqrt(horizon / n / (2.0 * math.pi * np.arange(1, n + 1)))
     cum = np.cumsum(a)
     mean = float(cum[-1])
     # sum_{j+k<=n} a_j a_k = sum_{j<n} a_j * cum_{n-j}
     second = 0.5 * horizon + float(np.dot(a[:-1], cum[-2::-1]))
     return mean, second - mean * mean
+
+
+def walk_argmax_law(n: int) -> np.ndarray:
+    """P(tau = k) for k = 0..n, where tau is the first argmax of the walk
+    W_0 = 0, ..., W_n of n symmetric continuous steps: the discrete arcsine
+    law p(k) p(n-k) with p(j) = C(2j, j)/4^j the stay-below probability
+    (Sparre Andersen; Feller vol. II, XII.8).  It sums to 1 because
+    sum_j p(j) s^j = (1 - s)^(-1/2), and it is symmetric in k <-> n - k.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    p = _stay_below(n)
+    return p * p[::-1]
 
 
 # ---------------------------------------------------------------------------

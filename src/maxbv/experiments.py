@@ -934,9 +934,9 @@ _PRESETS: tuple[tuple[str, str, int | None, int | None, dict, dict], ...] = (
     ("adjoint2", "malliavin.adjoint2_zero", 80, 1130,
      dict(n=256, samples=100_000), dict(n=128, samples=20_000)),
     ("chain-const", "malliavin.chain_vs_weak", 90, None,
-     dict(n=1000, samples=1_000_000, nodes=24, g="const1"), {}),
+     dict(n=1000, samples=600_000, nodes=24, g="const1"), {}),
     ("chain-bump", "malliavin.chain_vs_weak", 92, None,
-     dict(n=1000, samples=1_000_000, nodes=24, g="bump"), {}),
+     dict(n=1000, samples=600_000, nodes=24, g="bump"), {}),
     ("sigma-flat", "malliavin.sigma_flat", None, 1140,
      {}, dict(n=500, samples=500, eps=1e-6)),
     ("lt-zero", "density.lt_zero", 100, 1150, dict(t_fracs=(0.25, 0.5, 0.75)), {}),

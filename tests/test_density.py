@@ -18,11 +18,16 @@ from maxbv.density import (
     segment_max_density,
     segment_max_mass,
     tv_bound_discrete,
+    walk_argmax_law,
     walk_max_moments,
 )
 from maxbv.experiments import OPERATIONS
-from maxbv.fluctuation import halfline_prob_exact
-from maxbv.sampling import SeedSpec
+from maxbv.fluctuation import chi_square_sf, halfline_prob_exact, halfline_prob_float
+from maxbv.sampling import SeedSpec, walk_sums_batch
+
+# NaN fails every comparison and inf passes "> 0", so a positivity check
+# alone lets both through
+BAD_LENGTHS = [math.nan, math.inf, 0.0, -1.0]
 
 
 class TestSegmentMaxDensity:
@@ -49,6 +54,16 @@ class TestSegmentMaxDensity:
         with pytest.raises(ValueError):
             segment_max_density(0.1, 0.0)
 
+    @pytest.mark.parametrize("length", BAD_LENGTHS)
+    def test_density_rejects_a_non_finite_or_non_positive_length(self, length):
+        with pytest.raises(ValueError, match="segment length must be finite and positive"):
+            segment_max_density(0.1, length)
+
+    @pytest.mark.parametrize("length", BAD_LENGTHS)
+    def test_mass_rejects_a_non_finite_or_non_positive_length(self, length):
+        with pytest.raises(ValueError, match="segment length must be finite and positive"):
+            segment_max_mass(length)
+
 
 class TestSplitDensity:
     def test_matches_closed_form(self):
@@ -70,6 +85,16 @@ class TestSplitDensity:
             lt_zero(0.0, 1.0)
         with pytest.raises(ValueError):
             lt_zero(1.0, 1.0)
+
+    @pytest.mark.parametrize("horizon", BAD_LENGTHS)
+    def test_rejects_a_non_finite_or_non_positive_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            lt_zero(0.5, horizon)
+
+    @pytest.mark.parametrize("horizon", BAD_LENGTHS)
+    def test_closed_form_rejects_a_non_finite_or_non_positive_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            lt_zero_closed(horizon)
 
 
 class TestQuadrature:
@@ -235,6 +260,44 @@ class TestWalkMaxMoments:
         # slipped past a positivity check into (nan, nan) and (inf, nan)
         with pytest.raises(ValueError, match="finite and positive"):
             walk_max_moments(10, horizon)
+
+
+def argmax_law_p_value(law, counts):
+    """chi-square p-value of first-argmax counts against a law."""
+    expected = counts.sum() * law
+    x = float(((counts - expected) ** 2 / expected).sum())
+    return chi_square_sf(len(law) - 1, x)
+
+
+class TestWalkArgmaxLaw:
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 2000])
+    def test_sums_to_one_and_is_symmetric(self, n):
+        law = walk_argmax_law(n)
+        assert law.shape == (n + 1,)
+        assert abs(math.fsum(law) - 1.0) <= 1e-12
+        assert np.array_equal(law, law[::-1])
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        # first argmax of 200k walks of 20 steps, in 4 chunks of 50k
+        rng = SeedSpec(8800, 1).generator()
+        return sum(
+            np.bincount(walk_sums_batch(rng, 50_000, 20).argmax(axis=1), minlength=21)
+            for _ in range(4)
+        )
+
+    def test_matches_the_sampled_first_argmax(self, counts):
+        assert argmax_law_p_value(walk_argmax_law(20), counts) > 1e-3
+
+    def test_law_from_shifted_stay_below_fails(self, counts):
+        # p(j+1) for p(j): the same chi-square test must see it
+        p = np.array([halfline_prob_float(j + 1) for j in range(21)])
+        law = p * p[::-1]
+        assert argmax_law_p_value(law / law.sum(), counts) < 1e-3
+
+    def test_rejects_an_empty_walk(self):
+        with pytest.raises(ValueError):
+            walk_argmax_law(0)
 
 
 class TestLimitIntegral:

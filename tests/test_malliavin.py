@@ -28,7 +28,7 @@ from maxbv.malliavin import (
     two_peak_path,
     verify_grad_max,
 )
-from maxbv.density import lt_zero_closed, walk_max_moments
+from maxbv.density import lt_zero_closed, walk_argmax_law, walk_max_moments
 from maxbv.experiments import ExperimentSpec, run_experiment
 from maxbv.paths import (
     _ROW_BLOCK,
@@ -47,6 +47,7 @@ from maxbv.sampling import (
     brownian_values_batch,
     mc_collect,
     mc_run,
+    mc_run_many,
     stream_counts,
 )
 
@@ -352,13 +353,16 @@ def direction_asymmetries():
 
 
 def weak_reference(g, k, h, grid, samples, seed):
-    """The double integration-by-parts estimate E[M * d*_k(d*_h g)], written
-    out here rather than read from the paired route, so that route has an
+    """The double integration-by-parts estimate E[M * d*_k(d*_h g)], with the
+    maximum's first chaos L = E[M] + I(beta) subtracted from M, written out
+    here rather than read from the paired route, so that route has an
     independent reference."""
+    mean, beta = malliavin._max_first_chaos(grid)
 
     def statistic(rng, count):
         values = brownian_values_batch(rng, count, grid)
-        return values.max(axis=1) * second_adjoint_batch(g, k, h, values)
+        (integral,) = wiener_integral_batch((beta,), values)
+        return (values.max(axis=1) - mean - integral) * second_adjoint_batch(g, k, h, values)
 
     return mc_run(statistic, samples, seed)
 
@@ -373,6 +377,75 @@ class TestWeakEstimator:
         ref = math.sqrt(2.0 / math.pi) / 3.0
         allowance = 0.8 / math.sqrt(GRID.n)
         assert abs(est.mean - ref) <= 3 * est.std_error + allowance
+
+    def test_paired_route_matches_the_exact_grid_value(self):
+        # for g = 1 and k = h = 1 the pairing is sum over pairs m < k of
+        # (t_k - t_m)^2 rho(m, k) = D^(3/2) (2 pi)^(-1/2) sum_{d<=n} sqrt(d)
+        # exactly on the grid, so no allowance
+        h = Direction.constant(GRID)
+        weak, _, _ = chain_vs_weak_paired(
+            constant_one(GRID), h, h, GRID, 100_000, SeedSpec(5150, 40), nodes=1
+        )
+        ref = GRID.step**1.5 / math.sqrt(2.0 * math.pi) * math.fsum(
+            math.sqrt(d) for d in range(1, GRID.n + 1)
+        )
+        assert ref == pytest.approx(0.266449935, abs=1e-9)
+        assert abs(weak.mean - ref) <= 3 * weak.std_error
+
+
+def first_chaos_controls(grid, samples, seed, planted):
+    """MC means of L * d*_k(d*_h g) on common paths, for every catalog g and
+    k in (1, front-half) with h = 1, where L = E[M] + I(beta) plus
+    ``planted`` * (W_T^2 - T): one row per (planted value, g, k)."""
+    mean, beta = malliavin._max_first_chaos(grid)
+    h = Direction.constant(grid)
+    ks = (h, Direction.indicator(grid, 0.0, grid.horizon / 2, label="front-half"))
+
+    def statistic(rng, count):
+        values = brownian_values_batch(rng, count, grid)
+        (integral,) = wiener_integral_batch((beta,), values)
+        square = values[:, -1] ** 2 - grid.horizon
+        adjoints = [second_adjoint_batch(g, k, h, values) for g in catalog(grid) for k in ks]
+        return np.array([(mean + integral + c * square) * a
+                         for c in planted for a in adjoints])
+
+    ests = mc_run_many(statistic, samples, seed)
+    rows = len(ests) // len(planted)
+    return [ests[i * rows:(i + 1) * rows] for i in range(len(planted))]
+
+
+class TestFirstChaosControl:
+    def test_control_has_mean_zero_and_a_planted_square_does_not(self):
+        # the affine control is orthogonal to every second adjoint; W_T^2 - T
+        # is not: E[(W_T^2 - T) d*_k(d*_h 1)] = 2 <k', h'>
+        grid = TimeGrid(200, 1.0)
+        honest, planted = first_chaos_controls(grid, 40_000, SeedSpec(5150, 41), (0.0, 0.1))
+        assert len(honest) == 12
+        assert [e.mean for e in honest if abs(e.mean) > 3 * e.std_error] == []
+        # rows 0 and 1 are g = 1 at k = 1 and at k = front-half
+        assert all(abs(e.mean) > 3 * e.std_error for e in planted[:2])
+
+    @pytest.mark.parametrize("ident", ["const1", "bump"])
+    def test_control_cuts_the_per_path_variance(self, ident):
+        g = constant_one(GRID) if ident == "const1" else catalog_entry(GRID, ident)
+        h = Direction.constant(GRID)
+        chaos = malliavin._max_first_chaos(GRID)
+        rng = SeedSpec(5150, 42).generator()
+        plain, controlled = [], []
+        for _ in range(2):
+            values = brownian_values_batch(rng, 10_000, GRID)
+            plain.append(values.max(axis=1) * second_adjoint_batch(g, h, h, values))
+            controlled.append(malliavin._weak_values(g, h, h, values, chaos))
+        ratio = np.concatenate(controlled).var() / np.concatenate(plain).var()
+        assert ratio <= 0.25
+
+    def test_chaos_is_the_argmax_tail_and_spitzer_mean(self):
+        mean, beta = malliavin._max_first_chaos(GRID)
+        law = walk_argmax_law(GRID.n)
+        assert mean == walk_max_moments(GRID.n, 1.0)[0]
+        # beta_i = P(tau > i), read as a tail sum; the law sums to 1 to 1e-12
+        assert beta.density[-1] == law[-1]
+        assert np.allclose(beta.density, 1.0 - np.cumsum(law)[:-1], rtol=0, atol=1e-12)
 
 
 def chain_at_midpoint(k, samples, seed):
@@ -500,10 +573,12 @@ class TestChainVsWeakPaired:
         t_idx = np.unique(np.round((np.arange(nodes) + 0.5) * GRID.n / nodes).astype(int))
         node_weight = h.density[t_idx] * (GRID.horizon / nodes)
         kp = k.primitive
+        mean, beta = malliavin._max_first_chaos(GRID)
         per_path = []
         for j in range(64):
             values = brownian_values_batch(seed.generator(j), samples // 64, GRID)
-            w = values.max(axis=1) * second_adjoint_batch(g, k, h, values)
+            (integral,) = wiener_integral_batch((beta,), values)
+            w = (values.max(axis=1) - mean - integral) * second_adjoint_batch(g, k, h, values)
             fwd_max, fwd_arg, bwd_max, bwd_arg = running_max_tables(values)
             delta = bwd_max[:, t_idx] - fwd_max[:, t_idx]
             y = g.value(values)[:, None] * (kp[bwd_arg[:, t_idx]] - kp[fwd_arg[:, t_idx]])
@@ -524,7 +599,7 @@ class TestChainVsWeakPaired:
         weak_values = malliavin._weak_values
         monkeypatch.setattr(
             malliavin, "_weak_values",
-            lambda g, k, h, values: weak_values(constant_one(g.grid), k, h, values),
+            lambda g, k, h, values, chaos: weak_values(constant_one(g.grid), k, h, values, chaos),
         )
         (wrong,) = run_experiment(spec, 5150).rows
         assert wrong.passed is False
